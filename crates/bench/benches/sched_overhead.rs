@@ -2,14 +2,13 @@
 //! *decision* in isolation, measured with the two extreme kernels from
 //! [`crat_workloads::micro`].
 //!
-//! `empty_alu` is issue-bound with a sole resident warp — under GTO the
-//! burst path folds each straight-line loop body into one scheduler
-//! decision, so its `instr/sec` tracks per-decision overhead directly.
-//! `stall_heavy` is stall-bound — dependent global-load chains keep
-//! every warp parked on the scoreboard most cycles — so its
-//! `cycles/sec` tracks the wake-event calendar's cost of skipping dead
-//! cycles (a per-cycle polling loop pays a full all-scheduler poll for
-//! each). Explicit throughput lines accompany the Criterion entries,
+//! `empty_alu` is issue-bound with a sole resident warp — every cycle
+//! issues one instruction through the full scheduler decision, so its
+//! `instr/sec` tracks per-decision overhead directly. `stall_heavy` is
+//! stall-bound — dependent global-load chains keep every warp parked
+//! on the scoreboard most cycles — so its `cycles/sec` tracks the cost
+//! of skipping dead cycles by idle fast-forward (a per-cycle polling
+//! loop pays a full all-scheduler poll for each). Explicit throughput lines accompany the Criterion entries,
 //! mirroring `sim_throughput.rs`; the numbers are recorded in
 //! `BENCH_sim_throughput.json`.
 
@@ -29,7 +28,7 @@ fn measure(label: &str, dk: &DecodedKernel, launch: &LaunchConfig, tlp: Option<u
     let start = Instant::now();
     let (mut cycles, mut insts) = (0u64, 0u64);
     for _ in 0..REPS {
-        let s = simulate_decoded(black_box(dk), &gpu, launch, 21, tlp).unwrap();
+        let (s, _) = simulate_decoded(black_box(dk), &gpu, launch, 21, tlp, None).unwrap();
         cycles += s.cycles;
         insts += s.warp_insts;
     }
@@ -49,19 +48,23 @@ fn bench_sched_overhead(c: &mut Criterion) {
     let sh_launch = micro::stall_heavy_launch(STALL_GRID);
 
     // Warm-up.
-    simulate_decoded(&ea, &gpu, &ea_launch, 21, Some(1)).unwrap();
-    simulate_decoded(&sh, &gpu, &sh_launch, 21, None).unwrap();
+    simulate_decoded(&ea, &gpu, &ea_launch, 21, Some(1), None).unwrap();
+    simulate_decoded(&sh, &gpu, &sh_launch, 21, None, None).unwrap();
 
     measure("sched_overhead/empty_alu", &ea, &ea_launch, Some(1));
     measure("sched_overhead/stall_heavy", &sh, &sh_launch, None);
 
     c.bench_function("sched_overhead/empty_alu_pass", |b| {
         b.iter(|| {
-            black_box(simulate_decoded(black_box(&ea), &gpu, &ea_launch, 21, Some(1)).unwrap())
+            black_box(
+                simulate_decoded(black_box(&ea), &gpu, &ea_launch, 21, Some(1), None).unwrap(),
+            )
         })
     });
     c.bench_function("sched_overhead/stall_heavy_pass", |b| {
-        b.iter(|| black_box(simulate_decoded(black_box(&sh), &gpu, &sh_launch, 21, None).unwrap()))
+        b.iter(|| {
+            black_box(simulate_decoded(black_box(&sh), &gpu, &sh_launch, 21, None, None).unwrap())
+        })
     });
 }
 

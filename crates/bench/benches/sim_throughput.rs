@@ -71,7 +71,9 @@ fn bench_sim_throughput(c: &mut Criterion) {
         .collect();
     measure("sim_throughput/warm_decoded", |i| {
         let (dk, l) = &decoded[i];
-        simulate_decoded(black_box(dk), &gpu, l, 21, None).unwrap()
+        simulate_decoded(black_box(dk), &gpu, l, 21, None, None)
+            .unwrap()
+            .0
     });
 
     // Mean-time entries so regressions show in the Criterion report.
@@ -85,7 +87,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
     c.bench_function("sim_throughput/warm_mix_pass", |b| {
         b.iter(|| {
             for (dk, l) in &decoded {
-                black_box(simulate_decoded(black_box(dk), &gpu, l, 21, None).unwrap());
+                black_box(simulate_decoded(black_box(dk), &gpu, l, 21, None, None).unwrap());
             }
         })
     });

@@ -779,7 +779,7 @@ impl EvalEngine {
         let started = Instant::now();
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             self.decode_cached(kernel).and_then(|dk| {
-                crat_sim::simulate_decoded_profiled(
+                crat_sim::simulate_decoded(
                     &dk,
                     gpu,
                     launch,

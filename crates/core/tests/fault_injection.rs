@@ -474,15 +474,14 @@ fn bank_model_survives_adversarial_layouts() {
     assert_eq!(engine.stats().panics_caught, 0);
 }
 
-/// Event-scheduler layer: 16 seeds aimed at the wake-event calendar
-/// and superblock burst paths, using the scheduler-overhead
-/// microkernels (`crat_workloads::micro`) — a sole-warp kernel whose
-/// issue stream folds into deep burst windows, and a dependent-load
-/// stall storm whose cycles are covered almost entirely by calendar
-/// jumps. Cycle caps and wall-clock deadlines must still fire
-/// promptly when single loop iterations cover thousands of cycles,
-/// and every healthy run's attribution must sum exactly to its
-/// cycles.
+/// Event-scheduler layer: 16 seeds aimed at the issue and idle
+/// fast-forward paths, using the scheduler-overhead microkernels
+/// (`crat_workloads::micro`) — a sole-warp straight-line ALU kernel,
+/// and a dependent-load stall storm whose cycles are covered almost
+/// entirely by fast-forward jumps. Cycle caps and wall-clock deadlines
+/// must still fire promptly when single loop iterations cover
+/// thousands of cycles, and every healthy run's attribution must sum
+/// exactly to its cycles.
 #[test]
 fn event_scheduler_survives_stall_storm_budgets() {
     use crat_sim::SchedulerKind;
@@ -514,9 +513,9 @@ fn event_scheduler_survives_stall_storm_budgets() {
             };
             match seed % 4 {
                 0 => {
-                    // A cycle cap that lands mid-burst or mid-jump: the
-                    // event-driven loop must stop at the cap's check,
-                    // never sail past it to completion.
+                    // A cycle cap that lands mid-jump: the event-driven
+                    // loop must stop at the cap's check, never sail past
+                    // it to completion.
                     let mut plan = FaultPlan::new(seed ^ 0xca1e);
                     let cap = 1 + plan.next_range(2_000);
                     let budget = EvalBudget::none().with_max_cycles(cap);
@@ -548,9 +547,9 @@ fn event_scheduler_survives_stall_storm_budgets() {
                     }
                 }
                 _ => {
-                    // Healthy run: the bulk attribution folded by burst
-                    // windows and calendar jumps must still sum exactly
-                    // to the simulated cycles.
+                    // Healthy run: the bulk attribution folded by
+                    // fast-forward jumps must still sum exactly to the
+                    // simulated cycles.
                     let budget = EvalBudget::none()
                         .with_max_cycles(5_000_000)
                         .with_deadline(Instant::now() + Duration::from_secs(20));

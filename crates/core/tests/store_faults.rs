@@ -9,8 +9,10 @@
 //! (`mutate_record`): torn writes, hard truncation, single bit flips,
 //! stale format versions, and trailing garbage. ENOSPC-style write
 //! failures are injected through the store's own armed hook
-//! ([`crat_core::store::fault`]), which is process-global — tests that
-//! arm it serialize on [`STORE_FAULT_LOCK`].
+//! ([`crat_core::store::fault`]), which is process-global: any store
+//! write running while it is armed can take the injected failure, so
+//! every test that writes through a store serializes on
+//! [`STORE_FAULT_LOCK`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -22,8 +24,8 @@ use crat_core::{EvalEngine, ResultStore, StoreConfig};
 use crat_sim::{fault::FaultPlan, GpuConfig, LaunchConfig};
 use crat_workloads::{build_kernel, launch_sized, suite};
 
-/// Serializes tests that arm the store's process-global write-fault
-/// hook.
+/// Serializes every store-writing test against the store's
+/// process-global write-fault hook.
 static STORE_FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn store_fault_guard() -> MutexGuard<'static, ()> {
@@ -104,6 +106,7 @@ fn quarantine_count(dir: &Path) -> usize {
 /// rewritten so a third restart hits cleanly.
 #[test]
 fn mutated_records_are_quarantined_and_recomputed() {
+    let _guard = store_fault_guard();
     for seed in 0..36u64 {
         scenario(seed, || {
             let mut plan = FaultPlan::new(seed);
@@ -164,6 +167,7 @@ fn mutated_records_are_quarantined_and_recomputed() {
 /// recomputed.
 #[test]
 fn garbage_files_are_quarantined_not_served() {
+    let _guard = store_fault_guard();
     for (seed, garbage) in [(100u64, Vec::new()), (101, b"not a record at all".to_vec())] {
         scenario(seed, || {
             let app = app_for_seed(seed);
@@ -232,6 +236,7 @@ fn write_failures_degrade_without_losing_results() {
 /// still enforced.
 #[test]
 fn stale_lock_does_not_block_eviction() {
+    let _guard = store_fault_guard();
     scenario(300, || {
         let dir = temp_dir("stale-lock", 300);
 
@@ -277,6 +282,7 @@ fn stale_lock_does_not_block_eviction() {
 /// may temporarily exceed its budget rather than block or fail.
 #[test]
 fn held_lock_skips_the_sweep_but_never_blocks_io() {
+    let _guard = store_fault_guard();
     scenario(301, || {
         let dir = temp_dir("held-lock", 301);
         fs::create_dir_all(&dir).unwrap();

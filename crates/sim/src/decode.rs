@@ -280,15 +280,6 @@ pub struct DecodedInst {
     /// straight into the destination row: no read observes the old
     /// value.
     pub dst_alias: bool,
-    /// Decode-time half of superblock burst legality: an ALU-class
-    /// instruction with an exact scoreboard footprint
-    /// ([`DecodedInst::use_def_mask`] `!= u64::MAX`). Such an
-    /// instruction has no memory, SFU, or barrier side effects and no
-    /// control flow (terminators are not instructions), so the only
-    /// runtime hazard left is its footprint against the warp's
-    /// pending-write mask — which the burst loop checks per
-    /// instruction.
-    pub burst_ok: bool,
 }
 
 impl DecodedInst {
@@ -681,7 +672,6 @@ fn decode_inst(
         sb_head: false,
         use_def_mask,
         dst_alias,
-        burst_ok: class == OpClass::Alu && use_def_mask != u64::MAX,
     }
 }
 
@@ -821,37 +811,9 @@ mod tests {
     }
 
     #[test]
-    fn decode_tags_burst_eligibility() {
-        let mut b = KernelBuilder::new("k");
-        let out = b.param_ptr("out");
-        let tid = b.special_tid_x(Type::U32);
-        let x = b.add(Type::U32, tid, Operand::Imm(1));
-        let f = b.cvt(Type::F32, Type::U32, x);
-        let s = b.unary(crat_ptx::UnOp::Sqrt, Type::F32, f);
-        let y = b.cvt(Type::U32, Type::F32, s);
-        let a = b.wide_address(out, y, 4);
-        b.st(Space::Global, Type::U32, a, y);
-        b.bar_sync();
-        let k = b.finish();
-        let dk = decode(&k).unwrap();
-
-        // Burst eligibility is exactly "ALU class with an exact
-        // scoreboard footprint": SFU, memory, and barrier ops all
-        // carry side effects the burst path must not replay.
-        let insts = &dk.blocks()[0].insts;
-        for i in insts {
-            assert_eq!(
-                i.burst_ok,
-                i.class == OpClass::Alu && i.use_def_mask != u64::MAX,
-                "{:?}",
-                i.op
-            );
-        }
-        assert!(insts.iter().any(|i| i.burst_ok));
-        assert!(insts.iter().any(|i| !i.burst_ok));
-
-        // A conservative (all-ones) footprint disqualifies even ALU
-        // work: the burst's hazard check needs the exact mask.
+    fn decode_widens_footprints_past_register_63() {
+        // A footprint register >= 64 does not fit the mask: it widens
+        // to all ones, telling the scoreboard to walk the exact slots.
         let mut wide = KernelBuilder::new("wide");
         let t = wide.special_tid_x(Type::U32);
         let mut regs = vec![t];
@@ -859,10 +821,15 @@ mod tests {
             regs.push(wide.add(Type::U32, regs[j], Operand::Imm(1)));
         }
         let dkw = decode(&wide.finish()).unwrap();
-        let tail = dkw.blocks()[0].insts.last().unwrap();
+        let insts = &dkw.blocks()[0].insts;
+        assert_ne!(
+            insts[1].use_def_mask,
+            u64::MAX,
+            "narrow footprint stays exact"
+        );
+        let tail = insts.last().unwrap();
         assert_eq!(tail.class, OpClass::Alu);
         assert_eq!(tail.use_def_mask, u64::MAX, "vreg >= 64 must widen");
-        assert!(!tail.burst_ok);
     }
 
     #[test]

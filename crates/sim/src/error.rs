@@ -45,7 +45,7 @@ pub enum SimError {
     },
     /// The caller's wall-clock deadline expired and the simulation
     /// cancelled itself cooperatively (see
-    /// [`simulate_decoded_deadline`](crate::simulate_decoded_deadline)).
+    /// [`simulate_decoded`](crate::simulate_decoded)).
     /// Unlike every other variant this one depends on wall time, so it
     /// must never be memoized.
     DeadlineExceeded {

@@ -43,7 +43,6 @@
 //! ```
 
 mod cache;
-pub mod calendar;
 mod config;
 pub mod decode;
 mod energy;
@@ -61,7 +60,6 @@ mod stats;
 pub mod vexec;
 
 pub use cache::{Cache, CacheDecision};
-pub use calendar::EventCalendar;
 pub use config::fault::{self, FaultPlan};
 pub use config::{
     CacheConfig, GpuConfig, LatencyConfig, LaunchConfig, SchedulerKind, ShmBankConfig,
@@ -70,11 +68,7 @@ pub use config::{
 pub use decode::{decode, DecodedKernel, OpClass, NUM_OP_CLASSES};
 pub use energy::{estimate_energy, EnergyCoefficients, EnergyReport};
 pub use error::SimError;
-pub use machine::{
-    simulate, simulate_capture, simulate_decoded, simulate_decoded_capture,
-    simulate_decoded_deadline, simulate_decoded_profiled, simulate_decoded_traced, Lanes,
-    SchedDecision, SchedTrace,
-};
+pub use machine::{simulate, simulate_capture, simulate_decoded, Lanes};
 pub use memory::{shm_conflict_degree, MemorySystem};
 pub use occupancy::{max_regs_for_tlp, occupancy, LimitingResource, Occupancy};
 pub use stats::{CycleAttribution, SimStats, StallCause, VectorStats, NUM_CAUSES};

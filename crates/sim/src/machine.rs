@@ -23,14 +23,11 @@
 //! (same-class run) turnover; it lives outside [`SimStats`] so the
 //! bit-identity contract with the reference interpreter is untouched.
 //!
-//! The cycle loop is *event-driven*: every timed stall source posts
-//! its next wake-up into an [`EventCalendar`] (write-back watermark
-//! plus sparse busy-window sources), zero-issue windows jump straight
-//! to the next event, and under GTO an issue by the sole unstalled
-//! scheduler extends into a *superblock burst* — the warp's following
-//! hazard-free ALU run issues in one scheduler decision with the
-//! cycle attribution folded in bulk (see `try_burst` for the exact
-//! preconditions that make this bit-identical to per-cycle issue).
+//! A cycle in which no scheduler issues fast-forwards: the machine
+//! state is frozen until the next write-back or bank busy-window
+//! expiry ([`Machine::next_event_after`]), so `now` jumps straight
+//! there and each scheduler's stall cause is charged for the whole
+//! window in one O(1) attribution fold.
 //!
 //! One SM is simulated in detail with its share of the grid
 //! (`ceil(grid_blocks / num_sms)` blocks); the other SMs run identical
@@ -43,7 +40,6 @@ use std::time::Instant;
 
 use crat_ptx::{BlockId, Kernel, Space, SpecialReg, Type};
 
-use crate::calendar::{EventCalendar, NEVER};
 use crate::config::{GpuConfig, LaunchConfig, SchedulerKind};
 use crate::decode::{
     decode, DAddr, DAddrBase, DOp, DSrc, DTerm, DecodedInst, DecodedKernel, OpClass, NO_REG, NO_RPC,
@@ -63,76 +59,9 @@ const LOCAL_TIMING_BASE: u64 = 1 << 40;
 /// Sentinel warp slot for scheduler decisions that concern no warp.
 const NO_WARP: u32 = u32::MAX;
 
-/// One recorded scheduler decision (see [`simulate_decoded_traced`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedDecision {
-    /// Cycle at which the decision was made (the first cycle of a
-    /// fast-forwarded stall window).
-    pub cycle: u64,
-    /// Scheduler index.
-    pub scheduler: u32,
-    /// The exclusive cause attributed to the slot.
-    pub cause: StallCause,
-    /// Warp slot the decision concerned: the issuing warp, the
-    /// mem-stalled warp, or the highest-priority blocked candidate;
-    /// `u32::MAX` when no warp was involved.
-    pub warp_slot: u32,
-    /// Consecutive cycles the decision covers (> 1 when the cycle loop
-    /// fast-forwarded a whole-SM stall window).
-    pub cycles: u64,
-}
-
-/// A fixed-capacity ring buffer over the last N scheduler decisions,
-/// for debugging pathological schedules. Allocated once up front; the
-/// cycle loop writes into it without allocating.
-#[derive(Debug, Clone)]
-pub struct SchedTrace {
-    buf: Vec<SchedDecision>,
-    /// Index of the oldest entry once the buffer has wrapped.
-    head: usize,
-    total: u64,
-    cap: usize,
-}
-
-impl SchedTrace {
-    fn new(cap: usize) -> SchedTrace {
-        let cap = cap.max(1);
-        SchedTrace {
-            buf: Vec::with_capacity(cap),
-            head: 0,
-            total: 0,
-            cap,
-        }
-    }
-
-    fn push(&mut self, d: SchedDecision) {
-        self.total += 1;
-        if self.buf.len() < self.cap {
-            self.buf.push(d);
-        } else {
-            self.buf[self.head] = d;
-            self.head = (self.head + 1) % self.cap;
-        }
-    }
-
-    /// The ring's capacity (the N of "last N decisions").
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Decisions recorded over the whole run, including evicted ones.
-    pub fn total_recorded(&self) -> u64 {
-        self.total
-    }
-
-    /// The retained decisions, oldest first.
-    pub fn decisions(&self) -> Vec<SchedDecision> {
-        let mut v = Vec::with_capacity(self.buf.len());
-        v.extend_from_slice(&self.buf[self.head..]);
-        v.extend_from_slice(&self.buf[..self.head]);
-        v
-    }
-}
+/// "No event pending": the write-back watermark's unarmed value, so
+/// `min` folds stay branch-free.
+const NEVER: u64 = u64::MAX;
 
 /// Simulate `kernel` under `launch` on `cfg`, optionally capping the
 /// resident blocks per SM at `tlp_cap` (thread throttling).
@@ -158,7 +87,8 @@ pub fn simulate(
     regs_per_thread: u32,
     tlp_cap: Option<u32>,
 ) -> Result<SimStats, SimError> {
-    simulate_capture(kernel, cfg, launch, regs_per_thread, tlp_cap).map(|(s, _)| s)
+    let dk = decode(kernel)?;
+    simulate_decoded(&dk, cfg, launch, regs_per_thread, tlp_cap, None).map(|(s, _)| s)
 }
 
 /// Like [`simulate`], additionally returning the final global-memory
@@ -177,108 +107,31 @@ pub fn simulate_capture(
     tlp_cap: Option<u32>,
 ) -> Result<(SimStats, HashMap<u64, u64>), SimError> {
     let dk = decode(kernel)?;
-    simulate_decoded_capture(&dk, cfg, launch, regs_per_thread, tlp_cap)
+    let m = run_machine(&dk, cfg, launch, regs_per_thread, tlp_cap, None)?;
+    Ok((m.stats, m.global.into_map()))
 }
 
 /// [`simulate`] over an already-decoded kernel, skipping validation
 /// and lowering. This is the hot entry point for evaluation engines
 /// that cache [`DecodedKernel`]s across launches.
 ///
+/// With `deadline: Some(t)` the cycle loop periodically compares
+/// `Instant::now()` against `t` and, once it has passed, stops with
+/// [`SimError::DeadlineExceeded`] instead of running to completion —
+/// the cancellation hook behind the evaluation engine's per-job
+/// budgets. With `None` the checks are skipped, not merely disarmed.
+///
+/// Also returns the [`VectorStats`] execution-path counters
+/// (vectorized vs scalar-fallback instructions, superblocks,
+/// per-class issue counts). They live outside [`SimStats`] so stats
+/// pinned bit-identically against the reference interpreter are
+/// unaffected.
+///
 /// # Errors
 ///
-/// Same as [`simulate`], except invalid kernels are rejected by
-/// [`decode`] up front.
+/// Same as [`simulate`] (except invalid kernels are rejected by
+/// [`decode`] up front), plus [`SimError::DeadlineExceeded`].
 pub fn simulate_decoded(
-    dk: &DecodedKernel,
-    cfg: &GpuConfig,
-    launch: &LaunchConfig,
-    regs_per_thread: u32,
-    tlp_cap: Option<u32>,
-) -> Result<SimStats, SimError> {
-    simulate_decoded_capture(dk, cfg, launch, regs_per_thread, tlp_cap).map(|(s, _)| s)
-}
-
-/// [`simulate_capture`] over an already-decoded kernel.
-///
-/// # Errors
-///
-/// Same as [`simulate_decoded`].
-pub fn simulate_decoded_capture(
-    dk: &DecodedKernel,
-    cfg: &GpuConfig,
-    launch: &LaunchConfig,
-    regs_per_thread: u32,
-    tlp_cap: Option<u32>,
-) -> Result<(SimStats, HashMap<u64, u64>), SimError> {
-    simulate_decoded_inner(dk, cfg, launch, regs_per_thread, tlp_cap, None, None)
-        .map(|(s, m, _, _)| (s, m))
-}
-
-/// [`simulate_decoded`] with a scheduler-decision trace: the last
-/// `trace_depth` decisions (one per scheduler per attributed window)
-/// are retained in a ring buffer for debugging.
-///
-/// # Errors
-///
-/// Same as [`simulate_decoded`].
-pub fn simulate_decoded_traced(
-    dk: &DecodedKernel,
-    cfg: &GpuConfig,
-    launch: &LaunchConfig,
-    regs_per_thread: u32,
-    tlp_cap: Option<u32>,
-    trace_depth: usize,
-) -> Result<(SimStats, SchedTrace), SimError> {
-    simulate_decoded_inner(
-        dk,
-        cfg,
-        launch,
-        regs_per_thread,
-        tlp_cap,
-        Some(trace_depth),
-        None,
-    )
-    .map(|(s, _, t, _)| (s, t.expect("trace requested")))
-}
-
-/// [`simulate_decoded`] with a cooperative wall-clock deadline: the
-/// cycle loop periodically compares `Instant::now()` against
-/// `deadline` and, once it has passed, stops with
-/// [`SimError::DeadlineExceeded`] instead of running to completion.
-/// This is the cancellation hook the evaluation engine's per-job
-/// budgets use to bound runaway simulations.
-///
-/// With `deadline: None` this is exactly [`simulate_decoded`] (the
-/// checks are skipped, not merely disarmed), so results and timings of
-/// the healthy path are unchanged.
-///
-/// # Errors
-///
-/// Same as [`simulate_decoded`], plus [`SimError::DeadlineExceeded`].
-pub fn simulate_decoded_deadline(
-    dk: &DecodedKernel,
-    cfg: &GpuConfig,
-    launch: &LaunchConfig,
-    regs_per_thread: u32,
-    tlp_cap: Option<u32>,
-    deadline: Option<Instant>,
-) -> Result<SimStats, SimError> {
-    simulate_decoded_inner(dk, cfg, launch, regs_per_thread, tlp_cap, None, deadline)
-        .map(|(s, _, _, _)| s)
-}
-
-/// [`simulate_decoded_deadline`] additionally returning the
-/// [`VectorStats`] execution-path counters (vectorized vs
-/// scalar-fallback instructions, superblocks, per-class issue counts).
-/// The counters live outside [`SimStats`] so callers that pin stats
-/// bit-identically against the reference interpreter are unaffected;
-/// this is the entry point the evaluation engine and the throughput
-/// probe use to attribute vectorization coverage.
-///
-/// # Errors
-///
-/// Same as [`simulate_decoded_deadline`].
-pub fn simulate_decoded_profiled(
     dk: &DecodedKernel,
     cfg: &GpuConfig,
     launch: &LaunchConfig,
@@ -286,21 +139,21 @@ pub fn simulate_decoded_profiled(
     tlp_cap: Option<u32>,
     deadline: Option<Instant>,
 ) -> Result<(SimStats, VectorStats), SimError> {
-    simulate_decoded_inner(dk, cfg, launch, regs_per_thread, tlp_cap, None, deadline)
-        .map(|(s, _, _, v)| (s, v))
+    let m = run_machine(dk, cfg, launch, regs_per_thread, tlp_cap, deadline)?;
+    Ok((m.stats, m.vstats))
 }
 
-type SimOutput = (SimStats, HashMap<u64, u64>, Option<SchedTrace>, VectorStats);
-
-fn simulate_decoded_inner(
-    dk: &DecodedKernel,
-    cfg: &GpuConfig,
-    launch: &LaunchConfig,
+/// Validate the launch, fill the SM with its resident blocks, and run
+/// the cycle loop to completion; the finished machine carries every
+/// output the entry points return.
+fn run_machine<'a>(
+    dk: &'a DecodedKernel,
+    cfg: &'a GpuConfig,
+    launch: &'a LaunchConfig,
     regs_per_thread: u32,
     tlp_cap: Option<u32>,
-    trace_depth: Option<usize>,
     deadline: Option<Instant>,
-) -> Result<SimOutput, SimError> {
+) -> Result<Machine<'a>, SimError> {
     crate::config::fault::fire_sim_panic();
     if launch.grid_blocks == 0 {
         return Err(SimError::BadLaunch("grid has zero blocks".to_string()));
@@ -334,14 +187,13 @@ fn simulate_decoded_inner(
     resident = resident.min(blocks_this_sm);
 
     let mut m = Machine::new(dk, cfg, launch, blocks_this_sm);
-    m.trace = trace_depth.map(SchedTrace::new);
     m.deadline = deadline;
     m.stats.resident_blocks = resident;
     for _ in 0..resident {
         m.launch_block()?;
     }
     m.run()?;
-    Ok((m.stats, m.global.into_map(), m.trace, m.vstats))
+    Ok(m)
 }
 
 /// Per-block runtime state. Retired contexts are pooled and reused so
@@ -514,12 +366,11 @@ struct Machine<'a> {
     /// bit-identical to the single heap.
     wb_alu: VecDeque<(u64, usize, u64, u32)>,
     wb_sfu: VecDeque<(u64, usize, u64, u32)>,
-    /// The wake-event calendar: the write-back watermark (earliest due
-    /// time across the three queues, kept exact by every enqueue and
-    /// every drain) plus one sparse timed source per scheduler for
-    /// shared-memory busy windows. Zero-issue iterations jump `now`
-    /// straight to [`EventCalendar::next_event_after`].
-    cal: EventCalendar,
+    /// Write-back watermark: the earliest due time across the three
+    /// queues above (`NEVER` when none is in flight), kept exact by
+    /// every enqueue and every drain. With the bank-window expiries it
+    /// bounds zero-issue fast-forward ([`Machine::next_event_after`]).
+    wb_next: u64,
     now: u64,
     age_counter: u64,
     generation_counter: u64,
@@ -572,16 +423,6 @@ struct Machine<'a> {
     shm_busy_until: Vec<u64>,
     /// Warp slot charged with each scheduler's busy window.
     shm_busy_head: Vec<u32>,
-    /// Whether the current cycle-loop iteration issued anything other
-    /// than a plain ALU instruction (SFU, memory, barrier, or a
-    /// terminator). Reset each iteration; gates superblock bursting,
-    /// because only pure-ALU cycles are guaranteed not to have
-    /// retired blocks, released barriers, launched warps, or opened
-    /// busy windows — the events that would thaw another scheduler's
-    /// "frozen" stall cause mid-burst.
-    nonalu_issue: bool,
-    /// Optional ring buffer of recent scheduler decisions.
-    trace: Option<SchedTrace>,
     /// Cooperative cancellation: wall-clock deadline checked every
     /// [`DEADLINE_CHECK_INTERVAL`] loop iterations (and on the first).
     deadline: Option<Instant>,
@@ -641,7 +482,7 @@ impl<'a> Machine<'a> {
             writebacks: BinaryHeap::new(),
             wb_alu: VecDeque::new(),
             wb_sfu: VecDeque::new(),
-            cal: EventCalendar::new(cfg.num_schedulers as usize),
+            wb_next: NEVER,
             now: 0,
             age_counter: 0,
             generation_counter: 0,
@@ -661,8 +502,6 @@ impl<'a> Machine<'a> {
             bank: cfg.shm_banks,
             shm_busy_until: vec![0; cfg.num_schedulers as usize],
             shm_busy_head: vec![NO_WARP; cfg.num_schedulers as usize],
-            nonalu_issue: false,
-            trace: None,
             deadline: None,
             deadline_countdown: 0,
             stats: {
@@ -810,10 +649,9 @@ impl<'a> Machine<'a> {
                 }
                 self.deadline_countdown -= 1;
             }
-            if self.cal.writeback_next() <= self.now {
+            if self.wb_next <= self.now {
                 self.drain_writebacks();
             }
-            self.nonalu_issue = false;
             let mut issued_any = false;
             for s in 0..self.cfg.num_schedulers as usize {
                 let decision = self.schedule_one(s)?;
@@ -833,16 +671,13 @@ impl<'a> Machine<'a> {
             if issued_any {
                 self.commit_slots(1);
                 self.now += 1;
-                if self.cfg.scheduler == SchedulerKind::Gto {
-                    self.try_burst()?;
-                }
             } else {
-                // Fast-forward to the next calendar event (a write-back
-                // or the expiry of a busy window). If none exists, no
+                // Fast-forward to the next event (a write-back or the
+                // expiry of a busy window). If none exists, no
                 // instruction can ever become ready. The machine state
                 // is frozen until that event, so each scheduler's cause
                 // holds for the whole window.
-                let event = self.cal.next_event_after(self.now);
+                let event = self.next_event_after();
                 if event == NEVER {
                     return Err(SimError::Deadlock);
                 }
@@ -863,31 +698,32 @@ impl<'a> Machine<'a> {
     /// iteration into the attribution, weighted by the `n` cycles the
     /// iteration covers.
     fn commit_slots(&mut self, n: u64) {
-        self.commit_slots_at(n, self.now);
-    }
-
-    /// [`Machine::commit_slots`] with an explicit window-start cycle
-    /// for the trace (burst windows commit after `now` has advanced).
-    fn commit_slots_at(&mut self, n: u64, cycle: u64) {
         for s in 0..self.slot_causes.len() {
             let (cause, head) = self.slot_causes[s];
             self.stats.attribution.charge(s, cause, head, n);
-            if let Some(t) = &mut self.trace {
-                t.push(SchedDecision {
-                    cycle,
-                    scheduler: s as u32,
-                    cause,
-                    warp_slot: head,
-                    cycles: n,
-                });
-            }
         }
     }
 
-    /// A multi-cycle window (calendar jump or burst) covered `cycles`
-    /// cycles in one loop iteration: burn the cooperative-deadline
-    /// countdown by the extra cycles so the wall-clock check still
-    /// fires promptly under event-driven fast-forward (with
+    /// The earliest cycle at which a zero-issue machine can change
+    /// (`NEVER` if none): the write-back watermark, or the cycle after
+    /// an unexpired shared-memory busy window frees its scheduler.
+    /// Barrier releases are not timed events — a barrier releases
+    /// synchronously with its last arriving warp's issue.
+    fn next_event_after(&self) -> u64 {
+        let mut next = self.wb_next;
+        if self.bank.is_some() {
+            for &busy_until in &self.shm_busy_until {
+                if busy_until != 0 && self.now <= busy_until {
+                    next = next.min(busy_until + 1);
+                }
+            }
+        }
+        next
+    }
+
+    /// A fast-forward window covered `cycles` cycles in one loop
+    /// iteration: burn the cooperative-deadline countdown by the extra
+    /// cycles so the wall-clock check still fires promptly (with
     /// `deadline: None` the countdown is dead state and stays
     /// untouched).
     #[inline]
@@ -896,155 +732,6 @@ impl<'a> Machine<'a> {
             let extra = (cycles - 1).min(u64::from(u32::MAX)) as u32;
             self.deadline_countdown = self.deadline_countdown.saturating_sub(extra);
         }
-    }
-
-    /// Superblock burst issue. Called right after a committed issue
-    /// cycle (GTO only, `now` already advanced past it): when that
-    /// cycle's sole issuing scheduler is the only one that can act —
-    /// every other scheduler holds a *frozen* stall — the issuing
-    /// warp's following straight-line run of hazard-free ALU
-    /// instructions issues in one scheduler decision, with the cycle
-    /// attribution folded in bulk.
-    ///
-    /// Bit-identity with per-cycle issue rests on the window bounds:
-    ///
-    /// * A frozen stall (`Scoreboard`/`Barrier`/`Reconverge`/`Empty`/
-    ///   `Drained`, or `ShmBankConflict` inside its busy window) can
-    ///   only change on a write-back drain, barrier release, or block
-    ///   launch. The burst releases no barrier and retires no block
-    ///   (ALU-only), and it handles drains by window shape — see
-    ///   below. `MemStall` is *never* frozen — reservation retries
-    ///   poll the memory system with side effects every cycle — so
-    ///   any mem-stalled scheduler disables bursting.
-    /// * Window shape splits on whether a drain can thaw anyone else.
-    ///   `Scoreboard`/`Reconverge` stalls park live warps whose wake
-    ///   is a write-back drain, so with one of those present the
-    ///   window stops before the first due write-back
-    ///   ([`EventCalendar::next_event_after`], kept current as the
-    ///   burst enqueues its own write-backs). When every other
-    ///   scheduler is `Empty`/`Drained`/`Barrier`/`ShmBankConflict`,
-    ///   drains are inert for them — [`Machine::apply_writeback`]
-    ///   wakes only `sb_blocked` warps, and a bank-blocked scheduler
-    ///   stays blocked until its busy window expires — so the burst
-    ///   runs a *deep* window across write-back due times, performing
-    ///   the per-cycle loop's own drains itself and stopping only at
-    ///   sparse events ([`EventCalendar::sparse_next_after`], which
-    ///   bounds every bank-window expiry). Drains waking warps of the
-    ///   bursting scheduler are harmless either way: under GTO the
-    ///   issuing warp keeps strict priority while it can issue.
-    /// * The window also caps at `max_cycles + 1` so the cycle-limit
-    ///   check fires at the same cycle as per-cycle issue.
-    fn try_burst(&mut self) -> Result<(), SimError> {
-        // Only a pure-ALU cycle leaves every other scheduler's stall
-        // frozen: an SFU/memory/barrier/terminator issue may have
-        // retired a block, released a barrier, launched fresh warps,
-        // or opened a busy window — any of which can thaw a stall (or
-        // replace the issuing warp itself) the moment the next cycle
-        // is simulated.
-        if self.nonalu_issue {
-            return Ok(());
-        }
-        let mut issuer = None;
-        let mut deep = true;
-        for (s, &(cause, _)) in self.slot_causes.iter().enumerate() {
-            match cause {
-                StallCause::Issued => {
-                    if issuer.is_some() {
-                        // Two concurrent issue streams cannot fold
-                        // into one decision: their write-back enqueues
-                        // interleave per cycle.
-                        return Ok(());
-                    }
-                    issuer = Some(s);
-                }
-                StallCause::MemStall => return Ok(()),
-                // A drain can wake these (live warps parked on the
-                // scoreboard): the window must stop at the first due
-                // write-back.
-                StallCause::Scoreboard | StallCause::Reconverge => deep = false,
-                // Drain-inert: nothing here thaws before a sparse
-                // event (bank-window expiry) or a synchronous event
-                // the burst never produces (barrier release, block
-                // retire/launch).
-                StallCause::Barrier
-                | StallCause::Empty
-                | StallCause::Drained
-                | StallCause::ShmBankConflict => {}
-            }
-        }
-        let Some(s) = issuer else { return Ok(()) };
-        let i = self.slot_causes[s].1 as usize;
-        // The issue this cycle may itself have opened a bank-conflict
-        // busy window on this scheduler; issuing through it would skip
-        // the serialization.
-        if self.bank.is_some() && self.shm_busy_until[s] >= self.now {
-            return Ok(());
-        }
-        // First cycle at which something other than this warp's
-        // straight-line issue (plus, in deep windows, its drains) can
-        // happen. `now - 1` (the committed issue cycle) so an event
-        // due exactly at `now` stops the burst before it starts.
-        let limit = self.cfg.max_cycles.saturating_add(1);
-        let mut window = if deep {
-            self.cal.sparse_next_after(self.now - 1).min(limit)
-        } else {
-            self.cal.next_event_after(self.now - 1).min(limit)
-        };
-        if window <= self.now {
-            return Ok(());
-        }
-
-        let dk = self.dk;
-        let (bslot, frame) = {
-            let w = self.warps[i].as_mut().expect("issuing warp exists");
-            // The reconvergence pops the per-cycle path would apply on
-            // its next attempt (a no-op except at stacked block heads).
-            w.reconverge();
-            (w.block_slot, *w.frame())
-        };
-        let dblock = &dk.blocks()[frame.pc_block as usize];
-        let start = self.now;
-        let mut pc = frame.pc_idx;
-        while self.now < window && pc < dblock.insts.len() {
-            let inst = &dblock.insts[pc];
-            if !inst.burst_ok {
-                break;
-            }
-            if deep && self.cal.writeback_next() <= self.now {
-                // Deep window: run the drain the per-cycle loop top
-                // would, *before* the hazard check, so a write-back
-                // due this cycle clears the hazard exactly as it
-                // would per-cycle. Inert for every other scheduler by
-                // the deep-window precondition.
-                self.drain_writebacks();
-            }
-            let w = self.warps[i].as_ref().expect("issuing warp exists");
-            if inst.use_def_mask & w.pending_mask != 0 {
-                // Intra-run hazard: stop *before* the stalling
-                // instruction; the outer loop re-attempts it with the
-                // full scoreboard bookkeeping.
-                break;
-            }
-            self.exec_alu(i, inst)?;
-            pc += 1;
-            self.now += 1;
-            if !deep {
-                // The burst's own write-backs tighten the window (only
-                // binding when the window opened with no write-back in
-                // flight, e.g. after a store).
-                window = window.min(self.cal.writeback_next());
-            }
-        }
-        let k = self.now - start;
-        if k > 0 {
-            self.stats.attribution.warp_issued[i] += k;
-            self.stats.attribution.block_issued[bslot] += k;
-            self.vstats.burst_windows += 1;
-            self.vstats.burst_insts += k;
-            self.commit_slots_at(k, start);
-            self.burn_deadline_countdown(k + 1);
-        }
-        Ok(())
     }
 
     fn drain_writebacks(&mut self) {
@@ -1078,7 +765,7 @@ impl<'a> Machine<'a> {
             self.writebacks.pop();
             self.apply_writeback(slot, generation, reg);
         }
-        self.cal.set_writeback_next(next);
+        self.wb_next = next;
     }
 
     /// Retire one write-back: clear the pending bit (generation-fenced
@@ -1485,7 +1172,6 @@ impl<'a> Machine<'a> {
     }
 
     fn issue_terminator(&mut self, i: usize, term: DTerm) -> Result<(), SimError> {
-        self.nonalu_issue = true;
         self.stats.warp_insts += 1;
         self.vstats.count_issue(OpClass::Ctl, false);
 
@@ -1811,7 +1497,7 @@ impl<'a> Machine<'a> {
         let generation = w.generation;
         w.frame_mut().pc_idx += 1;
         let due = self.now + self.cfg.lat.alu as u64;
-        self.cal.note_writeback(due);
+        self.wb_next = self.wb_next.min(due);
         self.wb_alu.push_back((due, i, generation, inst.def));
         Ok(IssueOutcome::Issued)
     }
@@ -1820,7 +1506,6 @@ impl<'a> Machine<'a> {
     /// execute one active lane at a time (per-lane libm / checked
     /// division does not vectorize) at SFU latency.
     fn exec_sfu(&mut self, i: usize, inst: &DecodedInst) -> Result<IssueOutcome, SimError> {
-        self.nonalu_issue = true;
         self.stats.warp_insts += 1;
         self.vstats.count_issue(OpClass::Sfu, inst.sb_head);
         let w = self.warps[i].as_mut().expect("warp exists");
@@ -1850,14 +1535,13 @@ impl<'a> Machine<'a> {
         let generation = w.generation;
         w.frame_mut().pc_idx += 1;
         let due = self.now + self.cfg.lat.sfu as u64;
-        self.cal.note_writeback(due);
+        self.wb_next = self.wb_next.min(due);
         self.wb_sfu.push_back((due, i, generation, inst.def));
         Ok(IssueOutcome::Issued)
     }
 
     /// Block-wide barrier.
     fn exec_bar(&mut self, i: usize, inst: &DecodedInst) -> Result<IssueOutcome, SimError> {
-        self.nonalu_issue = true;
         self.stats.warp_insts += 1;
         self.vstats.count_issue(OpClass::Bar, inst.sb_head);
         let w = self.warps[i].as_mut().expect("warp exists");
@@ -1892,7 +1576,6 @@ impl<'a> Machine<'a> {
         dst: u32,
         addr: DAddr,
     ) -> Result<IssueOutcome, SimError> {
-        self.nonalu_issue = true;
         let w = self.warps[i].as_ref().expect("warp exists");
         let mask = active_mask(w, inst);
         let nactive = u64::from(mask.count_ones());
@@ -1923,9 +1606,6 @@ impl<'a> Machine<'a> {
                         let s = i % self.cfg.num_schedulers as usize;
                         self.shm_busy_until[s] = self.now + extra;
                         self.shm_busy_head[s] = i as u32;
-                        // The unit frees the cycle after the window:
-                        // post it so a stalled loop can jump there.
-                        self.cal.post(s, self.now + extra + 1);
                     }
                 }
                 self.now + self.cfg.lat.shared as u64 + extra
@@ -2016,7 +1696,7 @@ impl<'a> Machine<'a> {
             w.frame_mut().pc_idx += 1;
             w.generation
         };
-        self.cal.note_writeback(ready_at);
+        self.wb_next = self.wb_next.min(ready_at);
         self.writebacks
             .push(Reverse((ready_at, i, generation, dst)));
         Ok(IssueOutcome::Issued)
@@ -2031,7 +1711,6 @@ impl<'a> Machine<'a> {
         addr: DAddr,
         src: DSrc,
     ) -> Result<IssueOutcome, SimError> {
-        self.nonalu_issue = true;
         let w = self.warps[i].as_ref().expect("warp exists");
         let mask = active_mask(w, inst);
         let nactive = u64::from(mask.count_ones());
@@ -2062,9 +1741,6 @@ impl<'a> Machine<'a> {
                         let s = i % self.cfg.num_schedulers as usize;
                         self.shm_busy_until[s] = self.now + extra;
                         self.shm_busy_head[s] = i as u32;
-                        // The unit frees the cycle after the window:
-                        // post it so a stalled loop can jump there.
-                        self.cal.post(s, self.now + extra + 1);
                     }
                 }
             }
@@ -2816,32 +2492,6 @@ mod turnover_tests {
             "schedulers whose warps all arrived early must be seen waiting: {:?}",
             stats.attribution.per_scheduler
         );
-    }
-
-    /// The scheduler-decision trace retains only the last N decisions,
-    /// oldest first, and agrees with the attribution totals.
-    #[test]
-    fn sched_trace_keeps_last_n_decisions() {
-        let k = divergent_kernel();
-        let launch = LaunchConfig::new(12, 64)
-            .with_param("input", 0x100_0000)
-            .with_param("out", 0x200_0000);
-        let cfg = GpuConfig::fermi();
-        let dk = crate::decode::decode(&k).unwrap();
-        let depth = 64;
-        let (stats, trace) = simulate_decoded_traced(&dk, &cfg, &launch, 20, None, depth).unwrap();
-        stats.attribution.check(stats.cycles).unwrap();
-        assert_eq!(trace.capacity(), depth);
-        let decisions = trace.decisions();
-        assert!(decisions.len() <= depth);
-        assert!(trace.total_recorded() >= decisions.len() as u64);
-        // Oldest-first ordering: cycles never decrease.
-        for pair in decisions.windows(2) {
-            assert!(pair[0].cycle <= pair[1].cycle, "{pair:?}");
-        }
-        // The trace is a pure observer: stats must match an untraced run.
-        let (plain, _) = simulate_decoded_capture(&dk, &cfg, &launch, 20, None).unwrap();
-        assert_eq!(stats, plain);
     }
 }
 

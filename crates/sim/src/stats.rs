@@ -5,7 +5,7 @@ use crate::decode::{OpClass, NUM_OP_CLASSES};
 /// Vector-execution counters for the decoded SIMD path, kept separate
 /// from [`SimStats`] so the architectural stats stay bit-identical to
 /// the scalar reference interpreter (which never produces these).
-/// Returned by [`crate::simulate_decoded_profiled`].
+/// Returned by [`crate::simulate_decoded`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VectorStats {
     /// Warp instructions executed through the whole-row vector kernels.
@@ -19,12 +19,6 @@ pub struct VectorStats {
     /// Issued warp instructions by [`OpClass`], indexed by `class as
     /// usize` (terminators land in `Ctl`).
     pub class_insts: [u64; NUM_OP_CLASSES],
-    /// Burst windows folded by the event-driven scheduler: sole-ready
-    /// straight-line ALU runs issued in one scheduler decision.
-    pub burst_windows: u64,
-    /// Warp instructions issued inside burst windows (each non-burst
-    /// instruction costs one full scheduler decision instead).
-    pub burst_insts: u64,
 }
 
 impl VectorStats {
@@ -58,8 +52,6 @@ impl VectorStats {
         self.vector_insts += other.vector_insts;
         self.scalar_insts += other.scalar_insts;
         self.superblocks += other.superblocks;
-        self.burst_windows += other.burst_windows;
-        self.burst_insts += other.burst_insts;
         for (a, b) in self.class_insts.iter_mut().zip(other.class_insts.iter()) {
             *a += b;
         }
@@ -171,8 +163,8 @@ impl CycleAttribution {
 
     /// Fold `n` scheduler-slot cycles of `cause` (head warp slot
     /// `head`, `u32::MAX` for none) into scheduler `s` — the bulk
-    /// commit behind both single cycles and event-calendar jumps, so a
-    /// skipped window costs O(1) bookkeeping per scheduler.
+    /// commit behind both single cycles and idle fast-forward windows,
+    /// so a skipped window costs O(1) bookkeeping per scheduler.
     #[inline]
     pub fn charge(&mut self, s: usize, cause: StallCause, head: u32, n: u64) {
         self.per_scheduler[s][cause as usize] += n;

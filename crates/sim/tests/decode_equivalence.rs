@@ -471,10 +471,10 @@ fn build(r: &Recipe) -> crat_ptx::Kernel {
     b.finish()
 }
 
-/// Pin the wake-event calendar's interaction with an *immediate*
-/// event: a barrier release happens synchronously with the arriving
-/// warp's issue, and ALU write-backs from the pre-barrier work are
-/// still in flight — some due the very cycle of the release. Sweeping
+/// Pin idle fast-forward's interaction with an *immediate* event: a
+/// barrier release happens synchronously with the arriving warp's
+/// issue, and ALU write-backs from the pre-barrier work are still in
+/// flight — some due the very cycle of the release. Sweeping
 /// the amount of pre-barrier work slides the write-back due times
 /// across the release cycle, so some shape in the sweep lands each
 /// alignment, including release-and-drain on the same cycle. The
@@ -527,14 +527,14 @@ fn barrier_release_and_writeback_same_cycle() {
 
 /// The cooperative deadline must fire promptly even when the
 /// event-driven loop crosses thousands of cycles per iteration
-/// (calendar jumps over dependent-load stall windows burn the check
-/// countdown by the cycles they skip, not by loop iterations).
+/// (fast-forward jumps over dependent-load stall windows burn the
+/// check countdown by the cycles they skip, not by loop iterations).
 #[test]
-fn deadline_fires_promptly_under_large_calendar_jumps() {
+fn deadline_fires_promptly_under_large_fast_forward_jumps() {
     use std::time::Instant;
 
     // One warp chasing dependent global loads: nearly every simulated
-    // cycle sits inside a stall window the calendar jumps over.
+    // cycle sits inside a stall window the loop jumps over.
     let mut b = KernelBuilder::new("jumpy");
     let inp = b.param_ptr("inp");
     let out = b.param_ptr("out");
@@ -565,7 +565,7 @@ fn deadline_fires_promptly_under_large_calendar_jumps() {
         .with_param("inp", 0x10_0000)
         .with_param("out", 0x20_0000);
     let dk = crat_sim::decode(&k).unwrap();
-    let full = crat_sim::simulate_decoded(&dk, &cfg, &launch, 24, Some(1)).unwrap();
+    let (full, _) = crat_sim::simulate_decoded(&dk, &cfg, &launch, 24, Some(1), None).unwrap();
     assert!(
         full.cycles > 20_000,
         "kernel too short ({} cycles) to exercise large jumps",
@@ -574,8 +574,7 @@ fn deadline_fires_promptly_under_large_calendar_jumps() {
 
     // An already-expired deadline: the very first countdown expiry must
     // cancel the run, no matter how far single iterations jump.
-    let res =
-        crat_sim::simulate_decoded_deadline(&dk, &cfg, &launch, 24, Some(1), Some(Instant::now()));
+    let res = crat_sim::simulate_decoded(&dk, &cfg, &launch, 24, Some(1), Some(Instant::now()));
     match res {
         Err(crat_sim::SimError::DeadlineExceeded { cycles }) => {
             // One check interval plus at most one stall-window jump —
@@ -615,13 +614,12 @@ proptest! {
         prop_assert_eq!(new, old);
     }
 
-    /// Bulk attribution folding (calendar jumps and burst windows
-    /// charging N cycles in one O(1) step) must be bit-identical to
-    /// the reference interpreter's cycle-at-a-time attribution, on
-    /// random kernels, across every scheduler. `Some(1)` pins the
-    /// sole-resident-warp shape where GTO's deep burst windows cross
-    /// write-back drains; uncapped TLP exercises multi-warp wake
-    /// ordering through the ready queues.
+    /// Bulk attribution folding (fast-forward jumps charging N cycles
+    /// in one O(1) step) must be bit-identical to the reference
+    /// interpreter's cycle-at-a-time attribution, on random kernels,
+    /// across every scheduler. `Some(1)` pins the sole-resident-warp
+    /// shape; uncapped TLP exercises multi-warp wake ordering through
+    /// the ready queues.
     #[test]
     fn bulk_attribution_matches_per_cycle_on_random_kernels(r in recipe()) {
         let k = build(&r);

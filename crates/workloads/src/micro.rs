@@ -8,21 +8,19 @@
 //! * [`empty_alu_kernel`] — a counted loop whose body is straight-line
 //!   independent ALU. Launched as a single 32-thread block with a TLP
 //!   cap of 1, exactly one warp is ever resident: one scheduler holds
-//!   the warp, the other reports `Empty`, and under GTO the machine's
-//!   superblock burst path issues each loop body in one scheduler
-//!   decision. Instructions per scheduler decision is the figure of
-//!   merit; a per-cycle polling loop pays the full decision cost on
-//!   every instruction.
+//!   the warp and the other reports `Empty`, so every cycle pays the
+//!   full issue path (scheduler decision, scoreboard check, row
+//!   kernel, write-back) for one instruction.
 //! * [`stall_heavy_kernel`] — per-iteration chains of two dependent
 //!   global loads (the second load's address derives from the first's
 //!   value) across many warps. Nearly every cycle is a stall on some
-//!   scheduler, so the run exercises the wake-event calendar: warps
-//!   park on the scoreboard, the ready queue churns as write-backs
-//!   drain, and whole-machine stall windows fast-forward in one jump.
+//!   scheduler, so the run exercises idle fast-forward: warps park on
+//!   the scoreboard, the ready queue churns as write-backs drain, and
+//!   whole-machine stall windows fast-forward in one jump.
 //!
 //! Body width stays well under 64 virtual registers so every body
 //! instruction carries an exact scoreboard footprint
-//! (`DecodedInst::use_def_mask`) and is burst-eligible.
+//! (`DecodedInst::use_def_mask`), the one-mask-test scoreboard path.
 
 use crat_ptx::{Address, BinOp, Kernel, KernelBuilder, Operand, Space, Type};
 use crat_sim::LaunchConfig;

@@ -1,32 +1,36 @@
 //! Simulator-throughput probe with a per-op-class breakdown.
 //!
-//! Runs a workload mix through the cold (decode-per-call) and warm
-//! (pre-decoded) paths and prints per-app and aggregate `instr/sec` /
-//! `cycles/sec`, plus the vector-execution profile of the warm path
-//! (issued instructions by op class, vector vs scalar-fallback counts,
-//! superblocks) so vectorization wins are attributable to the op mix.
+//! Runs a workload mix through the warm (pre-decoded) path, the
+//! reference interpreter ([`crat_sim::reference`]) and the cold
+//! (decode-per-call) path, and prints per-app and aggregate
+//! `instr/sec` / `cycles/sec`, the decoded/reference speedup, plus the
+//! vector-execution profile of the warm path (issued instructions by
+//! op class, vector vs scalar-fallback counts, superblocks) so
+//! vectorization wins are attributable to the op mix.
 //!
 //! Usage:
 //!
 //! ```text
-//! sim_throughput_probe [MIX_CSV] [REPS] [GRID_BLOCKS] [--floor INSTR_PER_SEC] [--micro]
+//! sim_throughput_probe [MIX_CSV] [REPS] [GRID_BLOCKS] [--min-speedup X] [--micro]
 //! ```
 //!
 //! Defaults reproduce the `BENCH_sim_throughput.json` configuration
-//! (`CFD,KMN,BAK,STE,FDTD,SRAD`, 3 reps, 30 blocks). With `--floor`,
-//! the probe exits non-zero if aggregate warm instr/sec falls below
-//! the given floor — the `sim-event` smoke tier in `scripts/check.sh`.
-//! With `--micro`, the scheduler-overhead microkernels
-//! ([`crat_workloads::micro`]) run first: `empty-alu` isolates the
-//! per-decision cost of the issue path (sole warp, burst-dominated)
-//! and `stall-heavy` the cost of the wake-event calendar under
-//! dependent-load stalls.
+//! (`CFD,KMN,BAK,STE,FDTD,SRAD`, 3 reps, 30 blocks). The warm and
+//! reference paths are timed rep by rep on the same app, so machine
+//! load and clock drift hit both alike and their ratio holds on any
+//! machine. With `--min-speedup`, the probe exits non-zero if the
+//! aggregate decoded/reference instr/sec ratio falls below `X` — the
+//! `sim-throughput` smoke tier in `scripts/check.sh`. With `--micro`,
+//! the scheduler-overhead microkernels ([`crat_workloads::micro`]) run
+//! first: `empty-alu` isolates the per-instruction cost of the issue
+//! path (one warp, pure ALU) and `stall-heavy` the cost of idle
+//! fast-forward under dependent-load stalls.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use crat_sim::{
-    decode, simulate, simulate_decoded_profiled, GpuConfig, LaunchConfig, OpClass, VectorStats,
+    decode, reference, simulate, simulate_decoded, GpuConfig, LaunchConfig, OpClass, VectorStats,
 };
 use crat_workloads::{build_kernel, launch_sized, micro, suite};
 
@@ -39,32 +43,32 @@ struct Args {
     mix: Vec<String>,
     reps: u32,
     grid: u32,
-    floor: Option<f64>,
+    min_speedup: Option<f64>,
     micro: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: sim_throughput_probe [MIX_CSV] [REPS] [GRID_BLOCKS] [--floor INSTR_PER_SEC] [--micro]"
+        "usage: sim_throughput_probe [MIX_CSV] [REPS] [GRID_BLOCKS] [--min-speedup X] [--micro]"
     );
     eprintln!("  MIX_CSV      comma-separated app abbreviations (default {DEFAULT_MIX})");
     eprintln!("  REPS         repetitions per app (default {DEFAULT_REPS})");
     eprintln!("  GRID_BLOCKS  grid size in blocks (default {DEFAULT_GRID})");
-    eprintln!("  --floor F    fail (exit 1) if aggregate warm instr/sec < F");
+    eprintln!("  --min-speedup X  fail (exit 1) if decoded/reference instr/sec < X");
     eprintln!("  --micro      also run the scheduler-overhead microkernels");
     std::process::exit(2)
 }
 
 fn parse_args() -> Args {
     let mut pos: Vec<String> = Vec::new();
-    let mut floor = None;
+    let mut min_speedup = None;
     let mut micro = false;
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
         match a.as_str() {
-            "--floor" => {
+            "--min-speedup" => {
                 let v = argv.next().unwrap_or_else(|| usage());
-                floor = Some(v.parse::<f64>().unwrap_or_else(|_| usage()));
+                min_speedup = Some(v.parse::<f64>().unwrap_or_else(|_| usage()));
             }
             "--micro" => micro = true,
             "--help" | "-h" => usage(),
@@ -103,40 +107,32 @@ fn parse_args() -> Args {
         mix,
         reps,
         grid,
-        floor,
+        min_speedup,
         micro,
     }
 }
 
 /// Run one scheduler-overhead microkernel warm-decoded and print its
-/// throughput plus instructions per scheduler decision (each
-/// instruction issued outside a burst window costs one decision; a
-/// burst window is one decision covering all its instructions).
+/// throughput.
 fn run_micro(label: &str, kernel: &crat_ptx::Kernel, launch: &LaunchConfig, tlp: Option<u32>) {
     let gpu = GpuConfig::fermi();
     let dk = decode(kernel).unwrap();
     // Warm-up rep, then timed reps.
-    simulate_decoded_profiled(&dk, &gpu, launch, REGS_PER_THREAD, tlp, None).unwrap();
+    simulate_decoded(&dk, &gpu, launch, REGS_PER_THREAD, tlp, None).unwrap();
     let reps = 5;
     let start = Instant::now();
-    let (mut cycles, mut insts, mut bw, mut bi) = (0u64, 0u64, 0u64, 0u64);
+    let (mut cycles, mut insts) = (0u64, 0u64);
     for _ in 0..reps {
-        let (s, v) =
-            simulate_decoded_profiled(&dk, &gpu, launch, REGS_PER_THREAD, tlp, None).unwrap();
+        let (s, _) = simulate_decoded(&dk, &gpu, launch, REGS_PER_THREAD, tlp, None).unwrap();
         cycles += s.cycles;
         insts += s.warp_insts;
-        bw += v.burst_windows;
-        bi += v.burst_insts;
     }
     let secs = start.elapsed().as_secs_f64();
-    let decisions = insts - bi + bw;
     println!(
-        "micro {label:<12} instr/sec {:.3e}  cycles/sec {:.3e}  ipc {:.2}  burst {:.1}%  instr/decision {:.1}",
+        "micro {label:<12} instr/sec {:.3e}  cycles/sec {:.3e}  ipc {:.2}",
         insts as f64 / secs,
         cycles as f64 / secs,
         insts as f64 / cycles.max(1) as f64,
-        100.0 * bi as f64 / insts.max(1) as f64,
-        insts as f64 / decisions.max(1) as f64,
     );
 }
 
@@ -195,10 +191,7 @@ fn main() -> ExitCode {
     for (_, k, l) in &work {
         simulate(k, &gpu, l, REGS_PER_THREAD, None).unwrap();
     }
-    let decoded: Vec<_> = work
-        .iter()
-        .map(|(a, k, l)| (a.clone(), decode(k).unwrap(), l.clone()))
-        .collect();
+    let decoded: Vec<_> = work.iter().map(|(_, k, _)| decode(k).unwrap()).collect();
 
     println!(
         "mix {} reps {} grid {}",
@@ -207,40 +200,52 @@ fn main() -> ExitCode {
         args.grid
     );
 
-    // Per-app warm profile.
+    // Per-app warm profile, each rep paired with a reference rep of
+    // the same app. Both paths execute the same instructions (the
+    // differential tests hold them bit-identical), so the speedup is
+    // the ratio of their times.
     let (mut agg_cycles, mut agg_insts) = (0u64, 0u64);
-    let mut agg_secs = 0.0f64;
+    let (mut agg_secs, mut agg_ref_secs) = (0.0f64, 0.0f64);
     let mut agg_v = VectorStats::default();
-    for (abbr, dk, l) in &decoded {
-        let start = Instant::now();
+    for ((abbr, k, l), dk) in work.iter().zip(&decoded) {
+        let (mut secs, mut ref_secs) = (0.0f64, 0.0f64);
         let (mut cycles, mut insts) = (0u64, 0u64);
         let mut vstats = VectorStats::default();
         for _ in 0..args.reps {
-            let (s, v) =
-                simulate_decoded_profiled(dk, &gpu, l, REGS_PER_THREAD, None, None).unwrap();
+            let start = Instant::now();
+            let (s, v) = simulate_decoded(dk, &gpu, l, REGS_PER_THREAD, None, None).unwrap();
+            secs += start.elapsed().as_secs_f64();
+            let start = Instant::now();
+            reference::simulate(k, &gpu, l, REGS_PER_THREAD, None).unwrap();
+            ref_secs += start.elapsed().as_secs_f64();
             cycles += s.cycles;
             insts += s.warp_insts;
             vstats.merge(&v);
         }
-        let secs = start.elapsed().as_secs_f64();
         println!(
-            "{abbr:<6} instr/sec {:.3e}  cycles/sec {:.3e}  ipc {:.2}  {}",
+            "{abbr:<6} instr/sec {:.3e}  cycles/sec {:.3e}  ipc {:.2}  vs-ref {:.2}x  {}",
             insts as f64 / secs,
             cycles as f64 / secs,
             insts as f64 / cycles.max(1) as f64,
+            ref_secs / secs,
             class_line(&vstats)
         );
         agg_cycles += cycles;
         agg_insts += insts;
         agg_secs += secs;
+        agg_ref_secs += ref_secs;
         agg_v.merge(&vstats);
     }
-    let warm_ips = agg_insts as f64 / agg_secs;
     println!(
         "warm   instr/sec {:.3e}  cycles/sec {:.3e}  {}",
-        warm_ips,
+        agg_insts as f64 / agg_secs,
         agg_cycles as f64 / agg_secs,
         class_line(&agg_v)
+    );
+    let speedup = agg_ref_secs / agg_secs;
+    println!(
+        "ref    instr/sec {:.3e}  decoded/reference {speedup:.2}x",
+        agg_insts as f64 / agg_ref_secs,
     );
 
     // Aggregate cold pass for reference.
@@ -260,12 +265,12 @@ fn main() -> ExitCode {
         cycles as f64 / secs
     );
 
-    if let Some(floor) = args.floor {
-        if warm_ips < floor {
-            eprintln!("FAIL: warm instr/sec {warm_ips:.3e} below floor {floor:.3e}");
+    if let Some(min) = args.min_speedup {
+        if speedup < min {
+            eprintln!("FAIL: decoded/reference speedup {speedup:.2}x below {min:.2}x");
             return ExitCode::FAILURE;
         }
-        println!("floor check passed: {warm_ips:.3e} >= {floor:.3e}");
+        println!("speedup check passed: {speedup:.2}x >= {min:.2}x");
     }
     ExitCode::SUCCESS
 }

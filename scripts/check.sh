@@ -23,8 +23,12 @@ echo "== cargo clippy --workspace -- -D warnings"
 # non-test code (DESIGN.md §7), so a stray unwrap fails this step.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo test -q"
-cargo test -q
+# Every package's unit and integration tests, not only the root
+# package's: crat-sim's decoded-vs-reference equivalence tier, the
+# crat-sim/crat-core unit tests, and the allocator property suites
+# live in member crates.
+echo "== cargo test -q --workspace"
+cargo test -q --workspace
 
 # Fault-injection smoke tier: 200+ deterministic seeded scenarios
 # (mutated PTX, adversarial launches, starved allocator budgets,
@@ -77,21 +81,22 @@ echo "== sim throughput smoke test"
 cargo bench -p crat-bench --bench sim_throughput
 
 # Scheduler-overhead smoke tier: the two microkernels that isolate
-# per-decision cost (empty-ALU, burst-dominated) and dead-cycle
-# skipping (stall-heavy, calendar-dominated). Recorded numbers live in
+# per-instruction issue cost (empty-ALU, one warp) and dead-cycle
+# skipping (stall-heavy, idle fast-forward). Recorded numbers live in
 # BENCH_sim_throughput.json.
 echo "== scheduler-overhead microbench smoke test"
 cargo bench -p crat-bench --bench sched_overhead
 
-# Event-driven smoke tier: the decoded path with the wake-event
-# calendar and burst issue must clear a floor above the pre-event
-# per-cycle-decision baseline (~4.3M instr/s same-box; see
-# BENCH_sim_throughput.json history). The floor leaves headroom
-# below the measured ~4.9-5.0M so a loaded machine doesn't flake the
-# gate; a regression back to scalar-era rates still fails loudly.
+# Throughput tier: the decoded path must stay well ahead of the
+# reference interpreter (crat_sim::reference) on the probe mix. Both
+# are timed in this run, rep by rep on the same app, so the ratio
+# holds on any machine: measured 4.3-4.6x on a 2-core box, 4.56x on
+# the original one (see the EXPERIMENTS.md throughput history). The
+# 3.0x bound leaves headroom for noise; a fall back to scalar-era
+# rates (2.18x) fails loudly.
 # `--micro` also prints the microkernel numbers for the log.
-echo "== sim-event smoke test (event-driven throughput floor)"
-cargo run -q --release --example sim_throughput_probe -- --micro --floor 3.5e6
+echo "== sim-throughput smoke test (decoded/reference speedup)"
+cargo run -q --release --example sim_throughput_probe -- --micro --min-speedup 3.0
 
 # Alloc-sweep smoke tier: the shared-context allocator must beat the
 # cold per-point path over the full suite (recorded numbers live in

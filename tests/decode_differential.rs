@@ -5,7 +5,7 @@
 //! `crat_sim::reference`).
 
 use crat_suite::sim::{reference, simulate_capture, GpuConfig, SchedulerKind};
-use crat_suite::workloads::{build_kernel, launch_sized, suite};
+use crat_suite::workloads::{build_kernel, launch_sized, micro, suite};
 
 #[test]
 fn every_app_matches_the_reference_interpreter() {
@@ -38,6 +38,27 @@ fn scheduler_variants_match_the_reference_interpreter() {
             let new = simulate_capture(&kernel, &gpu, &launch, 18, None);
             let old = reference::simulate_capture(&kernel, &gpu, &launch, 18, None);
             assert_eq!(new, old, "app {abbr} diverges under {sched:?}");
+        }
+        // The scheduler-overhead microkernels: a sole warp issuing
+        // straight-line ALU (TLP 1), and a dependent-load stall storm
+        // whose cycles are almost all idle fast-forward.
+        for (name, kernel, launch, tlp) in [
+            (
+                "empty_alu",
+                micro::empty_alu_kernel(),
+                micro::empty_alu_launch(),
+                Some(1),
+            ),
+            (
+                "stall_heavy",
+                micro::stall_heavy_kernel(),
+                micro::stall_heavy_launch(30),
+                None,
+            ),
+        ] {
+            let new = simulate_capture(&kernel, &gpu, &launch, 21, tlp);
+            let old = reference::simulate_capture(&kernel, &gpu, &launch, 21, tlp);
+            assert_eq!(new, old, "micro {name} diverges under {sched:?}");
         }
     }
 }
