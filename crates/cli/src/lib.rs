@@ -628,6 +628,10 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             let kernel = load(&file)?;
             let launch = build_launch(&kernel, &opts);
             let gpu = opts.effective_gpu();
+            // `analyze` assumes a valid launch; reject a bad one as
+            // `simulate` does.
+            crat_sim::check_launch(&gpu, &launch)
+                .map_err(|e| tool_error(&file, &CratError::Sim(e)))?;
             let usage = analyze(&kernel, &gpu, &launch);
             let mut out = String::new();
             let _ = writeln!(out, "kernel `{}` on {}:", kernel.name(), gpu.name);
@@ -1178,6 +1182,69 @@ BB0:
         assert!(out.contains("chosen:"));
         let emitted = std::fs::read_to_string(out_path).unwrap();
         assert!(crat_ptx::parse(&emitted).is_ok());
+    }
+
+    /// A bad launch is an input error (exit 3) with the simulator's
+    /// message in every subcommand that takes one, not a panic.
+    #[test]
+    fn bad_launches_are_input_errors_everywhere() {
+        let dir = std::env::temp_dir().join(format!("crat-cli-launch-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("k.ptx");
+        std::fs::write(
+            &path,
+            crat_workloads::build_kernel(crat_workloads::suite::spec("BAK")).to_ptx(),
+        )
+        .unwrap();
+        let file = path.to_str().unwrap().to_string();
+        for (grid, block, message) in [
+            (
+                12,
+                63,
+                "bad launch: block size 63 is not a positive multiple of 32",
+            ),
+            (
+                12,
+                0,
+                "bad launch: block size 0 is not a positive multiple of 32",
+            ),
+            (0, 128, "bad launch: grid has zero blocks"),
+        ] {
+            let opts = CommonOpts {
+                grid,
+                block,
+                opt_tlp: OptTlpSource::Static { l1_hit_rate: 0.6 },
+                ..CommonOpts::default()
+            };
+            let commands = [
+                Command::Analyze {
+                    file: file.clone(),
+                    opts: opts.clone(),
+                },
+                Command::Optimize {
+                    file: file.clone(),
+                    output: None,
+                    opts: opts.clone(),
+                    prepass: false,
+                },
+                Command::Simulate {
+                    file: file.clone(),
+                    regs: Some(16),
+                    tlp: None,
+                    opts,
+                },
+            ];
+            for cmd in commands {
+                match run(cmd) {
+                    Err(e @ CliError::Tool(_)) => {
+                        assert_eq!(e.exit_code(), 3);
+                        assert!(e.to_string().contains(message), "{e}");
+                    }
+                    other => panic!("grid {grid} block {block}: {other:?}"),
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -5,8 +5,10 @@
 //!
 //! * **memoizes** results in a cache keyed by a stable structural hash
 //!   of the allocated kernel IR together with the GPU configuration,
-//!   the launch, the register count, and the TLP cap — re-evaluating
-//!   the same binary at the same operating point is free;
+//!   the launch, the register count, and the resident blocks the TLP
+//!   cap leaves ([`crat_sim::resident_blocks`]) — re-evaluating the
+//!   same binary at the same operating point is free, and two caps
+//!   that leave the same resident blocks share one result;
 //! * **parallelizes** batches of independent simulations over a
 //!   bounded pool of scoped worker threads (width from
 //!   [`std::thread::available_parallelism`], overridable via
@@ -16,6 +18,10 @@
 //!   second cache keyed by the kernel-only structural hash, so a TLP
 //!   or register sweep over one binary pays validation and lowering a
 //!   single time and every simulation runs on the pre-decoded IR;
+//! * **allocates the default binary once**: the tool chain's default
+//!   allocation, which every technique starts from, is memoized by
+//!   kernel and register budget (healthy Briggs results only, never a
+//!   fallback);
 //! * **isolates faults**: each simulation runs under
 //!   [`catch_unwind`](std::panic::catch_unwind), so a panicking job
 //!   becomes a structured [`CratError::Internal`] result instead of
@@ -65,7 +71,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crat_ptx::Kernel;
-use crat_regalloc::{AllocContext, StrategyKind};
+use crat_regalloc::{AllocContext, AllocError, Allocation, StrategyKind};
 use crat_sim::{DecodedKernel, GpuConfig, LaunchConfig, SimError, SimStats};
 
 use crate::store::{RecordKey, ResultStore, StoreConfig};
@@ -110,13 +116,32 @@ fn sim_key(
     regs_per_thread: u32,
     tlp_cap: Option<u32>,
 ) -> SimKey {
+    // The simulator reads the cap only through `resident_blocks`, and
+    // only once the launch checks pass and every parameter is bound;
+    // before that it fails whatever the cap, so the raw cap is keyed.
+    let runs = crat_sim::check_launch(gpu, launch).is_ok()
+        && kernel
+            .params()
+            .iter()
+            .all(|p| launch.params.contains_key(&p.name));
+    let cap: Result<u32, Option<u32>> = if runs {
+        Ok(crat_sim::resident_blocks(
+            gpu,
+            launch,
+            regs_per_thread,
+            kernel.shared_bytes(),
+            tlp_cap,
+        ))
+    } else {
+        Err(tlp_cap)
+    };
     let digest = |basis: u64| {
         let mut h = Fnv1a(basis);
         kernel.hash(&mut h);
         gpu.hash(&mut h);
         launch.hash(&mut h);
         regs_per_thread.hash(&mut h);
-        tlp_cap.hash(&mut h);
+        cap.hash(&mut h);
         h.finish()
     };
     SimKey(digest(FNV_BASIS_LO), digest(FNV_BASIS_HI))
@@ -260,8 +285,8 @@ pub struct EngineStats {
     pub sim_superblocks: u64,
     /// Worker panics caught and converted to [`CratError::Internal`].
     pub panics_caught: u64,
-    /// Jobs stopped by an [`EvalBudget`] limit (cycle override hit or
-    /// deadline expired).
+    /// Jobs stopped by an [`EvalBudget`] limit: a cycle override that
+    /// tightened the GPU's own limit was hit, or a deadline expired.
     pub budget_exceeded: u64,
     /// Shared allocation contexts built (allocation-analysis cache
     /// misses).
@@ -384,6 +409,7 @@ pub struct EvalEngine {
     cache: Mutex<HashMap<SimKey, Slot>>,
     decoded: Mutex<HashMap<SimKey, Arc<DecodedKernel>>>,
     alloc_ctx: Mutex<HashMap<SimKey, Arc<AllocContext>>>,
+    default_alloc: Mutex<HashMap<(SimKey, u32), Arc<Allocation>>>,
     store: Mutex<Option<Arc<ResultStore>>>,
     sims_executed: AtomicU64,
     cache_hits: AtomicU64,
@@ -445,6 +471,7 @@ impl EvalEngine {
             cache: Mutex::new(HashMap::new()),
             decoded: Mutex::new(HashMap::new()),
             alloc_ctx: Mutex::new(HashMap::new()),
+            default_alloc: Mutex::new(HashMap::new()),
             store: Mutex::new(None),
             sims_executed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
@@ -547,10 +574,10 @@ impl EvalEngine {
         lock(&self.alloc_ctx).len()
     }
 
-    /// Drop all cached results, decoded kernels, and allocation
-    /// contexts, and zero the counters — including the attached
-    /// store's counters, though the store stays attached and its
-    /// records stay on disk.
+    /// Drop all cached results, decoded kernels, allocation contexts
+    /// and default allocations, and zero the counters — including the
+    /// attached store's counters, though the store stays attached and
+    /// its records stay on disk.
     pub fn reset(&self) {
         if let Some(store) = self.store() {
             store.reset_counters();
@@ -558,6 +585,7 @@ impl EvalEngine {
         lock(&self.cache).clear();
         lock(&self.decoded).clear();
         lock(&self.alloc_ctx).clear();
+        lock(&self.default_alloc).clear();
         self.sims_executed.store(0, Ordering::Relaxed);
         self.cache_hits.store(0, Ordering::Relaxed);
         self.sim_nanos.store(0, Ordering::Relaxed);
@@ -615,6 +643,33 @@ impl EvalEngine {
                 (v.insert(ctx).clone(), false)
             }
         }
+    }
+
+    /// Fetch (or build with `briggs`) the default allocation of
+    /// `kernel` at register `budget`, keyed by the kernel-only
+    /// structural hash and the budget. Only successes are kept, and
+    /// callers pass only the healthy Briggs ladder here — never a
+    /// fallback — so a degraded allocation never reaches a later
+    /// caller. Built outside the lock; the first insert wins.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `briggs` returns; errors are not cached.
+    pub(crate) fn default_allocation(
+        &self,
+        kernel: &Kernel,
+        budget: u32,
+        briggs: impl FnOnce() -> Result<Allocation, AllocError>,
+    ) -> Result<Arc<Allocation>, AllocError> {
+        let key = (kernel_key(kernel), budget);
+        if let Some(a) = lock(&self.default_alloc).get(&key) {
+            return Ok(a.clone());
+        }
+        let built = Arc::new(briggs()?);
+        Ok(lock(&self.default_alloc)
+            .entry(key)
+            .or_insert(built)
+            .clone())
     }
 
     /// Record `n` register-allocation runs (the pipeline calls this
@@ -741,18 +796,16 @@ impl EvalEngine {
         budget: EvalBudget,
     ) -> Result<SimStats, CratError> {
         // Apply the cycle override by tightening the config, so the
-        // cache key naturally reflects the effective limit.
-        let tightened: GpuConfig;
-        let gpu = match budget.max_cycles_override {
-            Some(cap) if cap < gpu.max_cycles => {
-                tightened = GpuConfig {
-                    max_cycles: cap,
-                    ..gpu.clone()
-                };
-                &tightened
-            }
-            _ => gpu,
-        };
+        // cache key naturally reflects the effective limit. An override
+        // at or above the GPU's own limit changes nothing.
+        let tightened = budget
+            .max_cycles_override
+            .filter(|&cap| cap < gpu.max_cycles)
+            .map(|cap| GpuConfig {
+                max_cycles: cap,
+                ..gpu.clone()
+            });
+        let gpu = tightened.as_ref().unwrap_or(gpu);
         let key = sim_key(kernel, gpu, launch, regs_per_thread, tlp_cap);
         let (slot, owner) = {
             let mut cache = lock(&self.cache);
@@ -831,9 +884,8 @@ impl EvalEngine {
                 self.budget_exceeded.fetch_add(1, Ordering::Relaxed);
                 true
             }
-            Err(CratError::Sim(SimError::CycleLimit { .. }))
-                if budget.max_cycles_override.is_some() =>
-            {
+            // Only a limit the budget set counts as the budget's.
+            Err(CratError::Sim(SimError::CycleLimit { .. })) if tightened.is_some() => {
                 self.budget_exceeded.fetch_add(1, Ordering::Relaxed);
                 false
             }
@@ -1046,7 +1098,11 @@ mod tests {
 
     #[test]
     fn key_is_stable_and_sensitive() {
-        let (k, gpu, launch) = setup();
+        let (k, gpu, _) = setup();
+        // Grid 120 leaves 8 blocks per SM, so caps 2 and 3 and no cap
+        // are three distinct operating points.
+        let launch = launch_sized(suite::spec("BAK"), 120);
+        assert!(crat_sim::resident_blocks(&gpu, &launch, 16, k.shared_bytes(), None) > 3);
         let a = sim_key(&k, &gpu, &launch, 16, Some(2));
         let b = sim_key(&k, &gpu, &launch, 16, Some(2));
         assert_eq!(a, b, "same inputs must produce the same key");
@@ -1070,6 +1126,35 @@ mod tests {
             a,
             sim_key(&k, &kepler, &launch, 16, Some(2)),
             "gpu must be keyed"
+        );
+
+        // Caps that leave the same resident blocks are one simulation:
+        // the top of the occupancy limit and no cap...
+        let top = crat_sim::resident_blocks(&gpu, &launch, 16, k.shared_bytes(), None);
+        assert_eq!(
+            sim_key(&k, &gpu, &launch, 16, None),
+            sim_key(&k, &gpu, &launch, 16, Some(top))
+        );
+        // ...and, at grid 30 (2 blocks per SM), caps 2, 3 and none.
+        let (_, _, small) = setup();
+        let uncapped = sim_key(&k, &gpu, &small, 16, None);
+        assert_eq!(uncapped, sim_key(&k, &gpu, &small, 16, Some(2)));
+        assert_eq!(uncapped, sim_key(&k, &gpu, &small, 16, Some(3)));
+        assert_ne!(uncapped, sim_key(&k, &gpu, &small, 16, Some(1)));
+        // A job the simulator rejects before it reads the cap keys the
+        // raw cap: a bad block size, or an unbound parameter.
+        let bad = LaunchConfig {
+            block_size: 63,
+            ..launch.clone()
+        };
+        assert_ne!(
+            sim_key(&k, &gpu, &bad, 16, Some(2)),
+            sim_key(&k, &gpu, &bad, 16, Some(3))
+        );
+        let unbound = LaunchConfig::new(120, launch.block_size);
+        assert_ne!(
+            sim_key(&k, &gpu, &unbound, 16, Some(2)),
+            sim_key(&k, &gpu, &unbound, 16, Some(3))
         );
     }
 
@@ -1200,6 +1285,32 @@ mod tests {
         let full = engine.simulate(&k, &gpu, &launch, 16, Some(2));
         assert!(full.is_ok());
         assert_eq!(engine.cache_len(), 2);
+
+        // An override at or above the GPU's own limit leaves the config
+        // as it is: the GPU's limit stops the run, and the budget is not
+        // charged, whichever of the two requests comes first.
+        let short = GpuConfig {
+            max_cycles: 500,
+            ..gpu.clone()
+        };
+        let loose = EvalBudget::none().with_max_cycles(1_000_000);
+        for loose_first in [true, false] {
+            let engine = EvalEngine::serial();
+            let mut results = Vec::new();
+            for loose_now in [loose_first, !loose_first] {
+                let budget = if loose_now { loose } else { EvalBudget::none() };
+                results.push(engine.simulate_budgeted(&k, &short, &launch, 16, Some(2), budget));
+            }
+            for r in &results {
+                assert!(
+                    matches!(r, Err(CratError::Sim(SimError::CycleLimit { .. }))),
+                    "{r:?}"
+                );
+            }
+            let stats = engine.stats();
+            assert_eq!(stats.budget_exceeded, 0);
+            assert_eq!((stats.sims_executed, stats.cache_hits), (1, 1));
+        }
     }
 
     #[test]
@@ -1232,7 +1343,9 @@ mod tests {
 
     #[test]
     fn decoded_cache_is_shared_across_operating_points() {
-        let (k, gpu, launch) = setup();
+        let (k, gpu, _) = setup();
+        // Grid 120: caps 1-3 are three distinct resident-block counts.
+        let launch = launch_sized(suite::spec("BAK"), 120);
         let engine = EvalEngine::serial();
         for tlp in 1..=3 {
             engine.simulate(&k, &gpu, &launch, 16, Some(tlp)).unwrap();
@@ -1282,6 +1395,35 @@ mod tests {
         engine.reset();
         assert_eq!(engine.alloc_ctx_len(), 0);
         assert_eq!(engine.stats(), EngineStats::default());
+    }
+
+    #[test]
+    fn default_allocations_are_memoized_by_kernel_and_budget() {
+        let (k, _, _) = setup();
+        let engine = EvalEngine::serial();
+        let briggs =
+            |budget| crat_regalloc::allocate(&k, &crat_regalloc::AllocOptions::new(budget));
+        // Errors are returned, not cached.
+        let failed = AllocError::IterationLimit;
+        let r = engine.default_allocation(&k, 21, || Err(failed.clone()));
+        assert_eq!(r, Err(failed));
+        let a = engine.default_allocation(&k, 21, || briggs(21)).unwrap();
+        let b = engine
+            .default_allocation(&k, 21, || panic!("a memo hit must not allocate"))
+            .unwrap();
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "both requests must share one allocation"
+        );
+        let c = engine.default_allocation(&k, 24, || briggs(24)).unwrap();
+        assert!(!Arc::ptr_eq(&a, &c), "the budget is keyed");
+        engine.reset();
+        let mut rebuilt = false;
+        let _ = engine.default_allocation(&k, 21, || {
+            rebuilt = true;
+            briggs(21)
+        });
+        assert!(rebuilt, "reset drops the memo");
     }
 
     #[test]

@@ -281,12 +281,11 @@ fn thread_work_cycles(
 /// borrows the engine's cached [`crat_regalloc::AllocContext`] for the
 /// kernel — the whole ladder (and the whole design-point sweep above
 /// it) shares one liveness/interference analysis.
-pub(crate) fn robust_allocate(
+fn robust_allocate(
     engine: &EvalEngine,
     kernel: &Kernel,
     budget: u32,
-    shm: Option<ShmSpillConfig>,
-) -> Result<(Allocation, u32), AllocError> {
+) -> Result<Allocation, AllocError> {
     let ctx = engine.alloc_context(kernel);
     escalate(
         budget,
@@ -294,8 +293,9 @@ pub(crate) fn robust_allocate(
             engine.count_allocs(1);
             allocate_with(kernel, &ctx, opts)
         },
-        shm,
+        None,
     )
+    .map(|(a, _)| a)
 }
 
 /// Run one allocator under the `+2` budget-escalation ladder.
@@ -322,46 +322,47 @@ where
     unreachable!("the final attempt either succeeds or returns its error")
 }
 
-/// The allocation rung of the degradation ladder for the *default
-/// allocation* paths (OptTLP profiling and static analysis, the
-/// MaxTlp/OptTlp baselines): Briggs first, and on *any* Briggs failure
-/// retry the same budget ladder with the linear-scan fallback (which
-/// ignores `shm` — local spills only). Only when both allocators fail
-/// does the original Briggs error propagate, turning this point into a
-/// [`SkippedPoint`]. The design-point sweep itself runs the strategy
+/// The tool chain's *default allocation* of `kernel` (local spills
+/// only), which OptTLP profiling and static analysis and the
+/// MaxTlp/OptTlp baselines all start from: Briggs first, and on *any*
+/// Briggs failure the same budget ladder with the linear-scan
+/// fallback. Only when both allocators fail does the original Briggs
+/// error propagate. The design-point sweep itself runs the strategy
 /// roster instead (see [`optimize_with`]).
 ///
-/// The `fault::take_briggs_failure` hook lets the fault-injection
-/// harness force the Briggs rung to fail deterministically.
+/// The engine memoizes the Briggs result, so every technique on one
+/// engine allocates an app's default binary once; a fallback is
+/// rebuilt on each call and never memoized. The
+/// `fault::take_briggs_failure` hook lets the fault-injection harness
+/// force the Briggs rung to fail deterministically; it is polled only
+/// when Briggs would really run, not on a memo hit.
 pub(crate) fn allocate_degraded(
     engine: &EvalEngine,
     kernel: &Kernel,
     budget: u32,
-    shm: Option<ShmSpillConfig>,
-) -> Result<(Allocation, u32, AllocStrategy), AllocError> {
-    let briggs = if crat_sim::fault::take_briggs_failure() {
-        Err(AllocError::IterationLimit)
-    } else {
-        robust_allocate(engine, kernel, budget, shm)
-    };
-    match briggs {
-        Ok((a, b)) => Ok((a, b, AllocStrategy::Briggs)),
-        Err(primary) => {
-            // The fallback reuses the same cached context (a hit, not
-            // a rebuild): linear scan reads only its CFG and ranges.
-            let ctx = engine.alloc_context(kernel);
-            escalate(
-                budget,
-                |opts| {
-                    engine.count_allocs(1);
-                    allocate_linear_scan_with(kernel, &ctx, opts)
-                },
-                shm,
-            )
-            .map(|(a, b)| (a, b, AllocStrategy::LinearScan))
-            .map_err(|_| primary)
+) -> Result<Arc<Allocation>, AllocError> {
+    let briggs = engine.default_allocation(kernel, budget, || {
+        if crat_sim::fault::take_briggs_failure() {
+            Err(AllocError::IterationLimit)
+        } else {
+            robust_allocate(engine, kernel, budget)
         }
-    }
+    });
+    briggs.or_else(|primary| {
+        // The fallback reuses the same cached context (a hit, not a
+        // rebuild): linear scan reads only its CFG and ranges.
+        let ctx = engine.alloc_context(kernel);
+        escalate(
+            budget,
+            |opts| {
+                engine.count_allocs(1);
+                allocate_linear_scan_with(kernel, &ctx, opts)
+            },
+            None,
+        )
+        .map(|(a, _)| Arc::new(a))
+        .map_err(|_| primary)
+    })
 }
 
 /// A [`ContextSource`] backed by the engine's structural-hash cache,
@@ -417,8 +418,10 @@ fn run_strategy(
 ///
 /// # Errors
 ///
-/// Fails if allocation fails at every candidate, if profiling
-/// simulation fails, or if pruning leaves no candidates.
+/// Fails with [`crat_sim::SimError::BadLaunch`] on a launch
+/// [`crat_sim::check_launch`] rejects, if allocation fails at every
+/// candidate, if profiling simulation fails, or if pruning leaves no
+/// candidates.
 pub fn optimize(
     kernel: &Kernel,
     gpu: &GpuConfig,
@@ -445,6 +448,7 @@ pub fn optimize_with(
     launch: &LaunchConfig,
     opts: &CratOptions,
 ) -> Result<CratSolution, CratError> {
+    crat_sim::check_launch(gpu, launch)?;
     let usage = analyze(kernel, gpu, launch);
     let cost_local = opts
         .cost_local
@@ -458,11 +462,10 @@ pub fn optimize_with(
             // is visible — the profiled path throttles the same
             // binary, and consistency matters (paper §4.1 measures
             // with the tool-chain's allocation in place).
-            let (default_alloc, _, _) = allocate_degraded(
+            let default_alloc = allocate_degraded(
                 engine,
                 kernel,
                 usage.default_reg.max(crate::design_space::ALLOC_FLOOR),
-                None,
             )?;
             estimate_opt_tlp(
                 &default_alloc.kernel,
@@ -473,11 +476,10 @@ pub fn optimize_with(
             )
         }
         OptTlpSource::Profiled => {
-            let (default_alloc, _, _) = allocate_degraded(
+            let default_alloc = allocate_degraded(
                 engine,
                 kernel,
                 usage.default_reg.max(crate::design_space::ALLOC_FLOOR),
-                None,
             )?;
             profile_opt_tlp_with(
                 engine,

@@ -39,7 +39,9 @@ impl TlpProfile {
 ///
 /// # Errors
 ///
-/// Propagates the first simulation failure.
+/// [`crat_sim::SimError::BadLaunch`] on a launch
+/// [`crat_sim::check_launch`] rejects; otherwise propagates the first
+/// simulation failure.
 pub fn profile_opt_tlp(
     kernel: &Kernel,
     gpu: &GpuConfig,
@@ -63,7 +65,8 @@ pub fn profile_opt_tlp(
 ///
 /// # Errors
 ///
-/// Propagates the first simulation failure (lowest failing TLP).
+/// As [`profile_opt_tlp`]: a rejected launch, or the first simulation
+/// failure (lowest failing TLP).
 pub fn profile_opt_tlp_with(
     engine: &EvalEngine,
     kernel: &Kernel,
@@ -71,6 +74,7 @@ pub fn profile_opt_tlp_with(
     launch: &LaunchConfig,
     regs_per_thread: u32,
 ) -> Result<TlpProfile, CratError> {
+    crat_sim::check_launch(gpu, launch)?;
     let max = crat_sim::occupancy(
         gpu,
         regs_per_thread,

@@ -50,6 +50,12 @@ impl ResourceUsage {
 /// assert!(usage.max_reg > usage.min_reg, "CFD is register-hungry");
 /// assert_eq!(usage.default_reg, usage.min_reg, "tool-chain targets occupancy");
 /// ```
+///
+/// # Panics
+///
+/// If `launch.block_size` is not a positive multiple of the warp size.
+/// Check untrusted launches with [`crat_sim::check_launch`] first, as
+/// [`optimize`](crate::optimize) and [`evaluate`](crate::evaluate) do.
 pub fn analyze(kernel: &Kernel, gpu: &GpuConfig, launch: &LaunchConfig) -> ResourceUsage {
     let cfg = Cfg::build(kernel);
     let liveness = Liveness::compute(kernel, &cfg);

@@ -2,6 +2,7 @@
 //! `MaxTLP`, `OptTLP`, `CRAT-local`, `CRAT`, and `CRAT-static`.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crat_ptx::Kernel;
 use crat_regalloc::Allocation;
@@ -162,7 +163,9 @@ pub fn evaluate_with_roster(
 ///
 /// # Errors
 ///
-/// Propagates allocation and simulation failures.
+/// [`crat_sim::SimError::BadLaunch`] on a launch
+/// [`crat_sim::check_launch`] rejects; otherwise propagates allocation
+/// and simulation failures.
 pub fn evaluate_with_options(
     engine: &EvalEngine,
     kernel: &Kernel,
@@ -171,23 +174,24 @@ pub fn evaluate_with_options(
     technique: Technique,
     base: &CratOptions,
 ) -> Result<Evaluation, CratError> {
+    crat_sim::check_launch(gpu, launch)?;
     let usage = analyze(kernel, gpu, launch);
     let default_budget = usage.default_reg.max(ALLOC_FLOOR);
     let coeff = EnergyCoefficients::default();
 
     let (allocation, tlp, stats) = match technique {
         Technique::MaxTlp => {
-            let (alloc, _, _) = allocate_degraded(engine, kernel, default_budget, None)?;
+            let alloc = allocate_degraded(engine, kernel, default_budget)?;
             let stats = engine.simulate(&alloc.kernel, gpu, launch, alloc.slots_used, None)?;
             let tlp = stats.resident_blocks;
-            (alloc, tlp, stats)
+            (Arc::unwrap_or_clone(alloc), tlp, stats)
         }
         Technique::OptTlp => {
-            let (alloc, _, _) = allocate_degraded(engine, kernel, default_budget, None)?;
+            let alloc = allocate_degraded(engine, kernel, default_budget)?;
             let profile =
                 profile_opt_tlp_with(engine, &alloc.kernel, gpu, launch, alloc.slots_used)?;
             let stats = profile.best().clone();
-            (alloc, profile.opt_tlp, stats)
+            (Arc::unwrap_or_clone(alloc), profile.opt_tlp, stats)
         }
         Technique::CratLocal | Technique::Crat | Technique::CratStatic => {
             let opts = match technique {

@@ -4,7 +4,9 @@
 //! cold or warm.
 
 use crat_core::engine::EvalEngine;
-use crat_core::{optimize_with, profile_opt_tlp_with, CratOptions, OptTlpSource};
+use crat_core::{
+    evaluate_with, optimize_with, profile_opt_tlp_with, CratOptions, OptTlpSource, Technique,
+};
 use crat_sim::GpuConfig;
 use crat_workloads::{build_kernel, launch_sized, suite};
 
@@ -119,4 +121,33 @@ fn evaluate_is_identical_across_thread_counts_and_warm_cache() {
     )
     .unwrap();
     assert_eq!(direct, cold_serial);
+}
+
+/// The four Fig. 13 techniques share the default allocation and the
+/// simulations of one engine; each must still return exactly what it
+/// returns alone on a fresh engine.
+#[test]
+fn techniques_sharing_an_engine_match_fresh_engines() {
+    let gpu = GpuConfig::fermi();
+    let techniques = [
+        Technique::MaxTlp,
+        Technique::OptTlp,
+        Technique::CratLocal,
+        Technique::Crat,
+    ];
+    for abbr in ["CFD", "FDTD", "BAK"] {
+        let app = suite::spec(abbr);
+        let kernel = build_kernel(app);
+        let launch = launch_sized(app, 30);
+        let shared = EvalEngine::serial();
+        for t in techniques {
+            let together = evaluate_with(&shared, &kernel, &gpu, &launch, t).unwrap();
+            let alone = evaluate_with(&EvalEngine::serial(), &kernel, &gpu, &launch, t).unwrap();
+            let what = format!("{abbr} {t}");
+            assert_eq!(together.reg, alone.reg, "{what}: reg");
+            assert_eq!(together.tlp, alone.tlp, "{what}: tlp");
+            assert_eq!(together.stats, alone.stats, "{what}: stats");
+            assert_eq!(together.allocation, alone.allocation, "{what}: allocation");
+        }
+    }
 }

@@ -14,14 +14,14 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crat_core::{
-    optimize_with, AllocStrategy, CratError, CratOptions, EvalBudget, EvalEngine, OptTlpSource,
-    SimJob, StrategyRoster,
+    evaluate_with, optimize_with, profile_opt_tlp_with, AllocStrategy, CratError, CratOptions,
+    EvalBudget, EvalEngine, OptTlpSource, SimJob, StrategyRoster, Technique,
 };
 use crat_ptx::parse;
 use crat_regalloc::{
     allocate, allocate_linear_scan, AllocOptions, LayoutPolicy, ShmBankParams, ShmSpillConfig,
 };
-use crat_sim::{fault, fault::FaultPlan, GpuConfig, ShmBankConfig, SimError};
+use crat_sim::{fault, fault::FaultPlan, GpuConfig, LaunchConfig, ShmBankConfig, SimError};
 use crat_workloads::{build_kernel, launch_sized, suite};
 
 /// Serializes tests that touch the process-global fault hooks.
@@ -135,6 +135,96 @@ fn simulator_survives_adversarial_configs() {
     assert_eq!(ok + structured_err, 48);
     assert!(structured_err > 0, "hostile launches should be rejected");
     assert_eq!(engine.stats().panics_caught, 0);
+}
+
+/// Launch layer: 5 invalid launches (block sizes 0, 1, 48 and 63, and
+/// an empty grid) through every entry point that analyzes a kernel
+/// before simulating it — `optimize_with` under both OptTLP sources,
+/// every technique, and the profiling sweep. Each must return the
+/// error `crat_sim::simulate` returns for the same launch, not panic.
+#[test]
+fn invalid_launches_fail_as_the_simulator_does() {
+    let _guard = fault_guard();
+    let engine = EvalEngine::new(2);
+    let gpu = GpuConfig::fermi();
+    let app = suite::spec("BAK");
+    let kernel = build_kernel(app);
+    let shapes = [(12, 0), (12, 1), (12, 48), (12, 63), (0, app.block_size)];
+    for (seed, (grid_blocks, block_size)) in shapes.into_iter().enumerate() {
+        scenario(seed as u64, || {
+            let launch = LaunchConfig {
+                grid_blocks,
+                block_size,
+                ..launch_sized(app, 12)
+            };
+            let expected = crat_sim::simulate(&kernel, &gpu, &launch, 21, None)
+                .map_err(CratError::Sim)
+                .expect_err("the simulator rejects the launch");
+            assert!(matches!(expected, CratError::Sim(SimError::BadLaunch(_))));
+            for opt_tlp in [
+                OptTlpSource::Profiled,
+                OptTlpSource::Static { l1_hit_rate: 0.6 },
+            ] {
+                let opts = CratOptions {
+                    opt_tlp,
+                    ..CratOptions::new()
+                };
+                let r = optimize_with(&engine, &kernel, &gpu, &launch, &opts);
+                assert_eq!(r.err(), Some(expected.clone()), "optimize {opt_tlp:?}");
+            }
+            for t in [
+                Technique::MaxTlp,
+                Technique::OptTlp,
+                Technique::CratLocal,
+                Technique::Crat,
+                Technique::CratStatic,
+            ] {
+                let r = evaluate_with(&engine, &kernel, &gpu, &launch, t);
+                assert_eq!(r.err(), Some(expected.clone()), "evaluate {t}");
+            }
+            let r = profile_opt_tlp_with(&engine, &kernel, &gpu, &launch, 21);
+            assert_eq!(r.err(), Some(expected), "profile");
+        });
+    }
+    assert_eq!(engine.stats().panics_caught, 0);
+}
+
+/// Default-allocation memo: a forced Briggs failure on a fresh engine
+/// lands on a real allocation, and its linear-scan fallback is not
+/// memoized — once disarmed, the same engine returns the allocation a
+/// healthy fresh engine does.
+#[test]
+fn degraded_default_allocation_is_not_memoized() {
+    let _guard = fault_guard();
+    let gpu = GpuConfig::fermi();
+    for (seed, abbr) in ["CFD", "FDTD", "BAK"].into_iter().enumerate() {
+        scenario(seed as u64, || {
+            let app = suite::spec(abbr);
+            let kernel = build_kernel(app);
+            let launch = launch_sized(app, 30);
+            let max_tlp = |engine: &EvalEngine| {
+                evaluate_with(engine, &kernel, &gpu, &launch, Technique::MaxTlp)
+                    .expect("MaxTLP evaluates")
+            };
+            let healthy = max_tlp(&EvalEngine::serial());
+
+            let engine = EvalEngine::serial();
+            fault::arm_briggs_failures(1);
+            let degraded = max_tlp(&engine);
+            assert_ne!(
+                degraded.allocation, healthy.allocation,
+                "{abbr}: linear scan allocates differently"
+            );
+            assert!(
+                !fault::take_briggs_failure(),
+                "{abbr}: the armed failure must land on the default allocation"
+            );
+            fault::disarm_all();
+            let again = max_tlp(&engine);
+            assert_eq!(again.allocation, healthy.allocation, "{abbr}");
+            assert_eq!(again.stats, healthy.stats, "{abbr}");
+        });
+    }
 }
 
 /// Allocator layer: 40 seeds of starved register budgets (including
@@ -299,12 +389,15 @@ fn engine_survives_injected_worker_panics() {
             let kernel = build_kernel(app);
             let gpu = GpuConfig::fermi();
             let launch = launch_sized(app, 30);
+            // Four distinct operating points: at grid 30 most caps
+            // leave the same resident blocks (one memo slot), so the
+            // register count differs from job to job.
             let jobs: Vec<SimJob<'_>> = (1..=4)
                 .map(|tlp| SimJob {
                     kernel: &kernel,
                     gpu: &gpu,
                     launch: &launch,
-                    regs_per_thread: 16,
+                    regs_per_thread: 15 + tlp,
                     tlp_cap: Some(tlp),
                 })
                 .collect();

@@ -1,6 +1,7 @@
 //! Property test for the evaluation engine's memo cache: for randomly
-//! generated kernels and operating points, a cache hit returns exactly
-//! what a fresh simulation would.
+//! generated kernels and operating points, a cache hit — including one
+//! reached through an equivalent TLP cap — returns exactly what a fresh
+//! simulation would.
 
 use proptest::prelude::*;
 
@@ -84,13 +85,18 @@ proptest! {
         let engine = EvalEngine::serial();
         let cold = engine.simulate(&kernel, &gpu, &launch, regs, tlp);
         let warm = engine.simulate(&kernel, &gpu, &launch, regs, tlp);
+        // The cap that names the resident blocks outright is the same
+        // operating point, so it is a hit on the same slot.
+        let resident = crat_sim::resident_blocks(&gpu, &launch, regs, kernel.shared_bytes(), tlp);
+        let equivalent = engine.simulate(&kernel, &gpu, &launch, regs, Some(resident));
         let fresh = crat_sim::simulate(&kernel, &gpu, &launch, regs, tlp)
             .map_err(crat_core::CratError::Sim);
         prop_assert_eq!(&cold, &warm, "cache hit diverged from the cached run");
         prop_assert_eq!(&warm, &fresh, "cache hit diverged from a fresh simulation");
+        prop_assert_eq!(&equivalent, &fresh, "equivalent cap diverged from a fresh simulation");
 
         let stats = engine.stats();
         prop_assert_eq!(stats.sims_executed, 1);
-        prop_assert_eq!(stats.cache_hits, 1);
+        prop_assert_eq!(stats.cache_hits, 2);
     }
 }

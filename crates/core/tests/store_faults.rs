@@ -220,9 +220,10 @@ fn write_failures_degrade_without_losing_results() {
             );
 
             // With the hook disarmed, the next uncached point persists
-            // normally.
+            // normally. (At grid 12 every cap leaves one resident block,
+            // so the new point takes another register count.)
             let _ = engine
-                .simulate(&kernel, &gpu, &launch, 20, Some(3))
+                .simulate(&kernel, &gpu, &launch, 24, Some(2))
                 .unwrap();
             assert_eq!(engine.stats().store_writes, 1, "seed {seed}");
             assert_eq!(record_files(&dir).len(), 1, "seed {seed}");
@@ -262,11 +263,13 @@ fn stale_lock_does_not_block_eviction() {
         let store =
             ResultStore::open(StoreConfig::new(&dir).with_byte_limit(one_record)).expect("open");
         let _ = engine.attach_store(Arc::new(store));
+        // Two distinct points: at grid 12 every cap leaves one resident
+        // block, so the second takes another register count.
         let a = engine
             .simulate(&kernel, &gpu, &launch, 20, Some(2))
             .unwrap();
         let b = engine
-            .simulate(&kernel, &gpu, &launch, 20, Some(3))
+            .simulate(&kernel, &gpu, &launch, 24, Some(2))
             .unwrap();
         assert_ne!(a.cycles, 0);
         assert_ne!(b.cycles, 0);

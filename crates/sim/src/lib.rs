@@ -70,5 +70,7 @@ pub use energy::{estimate_energy, EnergyCoefficients, EnergyReport};
 pub use error::SimError;
 pub use machine::{simulate, simulate_capture, simulate_decoded, Lanes};
 pub use memory::{shm_conflict_degree, MemorySystem};
-pub use occupancy::{max_regs_for_tlp, occupancy, LimitingResource, Occupancy};
+pub use occupancy::{
+    check_launch, max_regs_for_tlp, occupancy, resident_blocks, LimitingResource, Occupancy,
+};
 pub use stats::{CycleAttribution, SimStats, StallCause, VectorStats, NUM_CAUSES};

@@ -47,7 +47,7 @@ use crate::decode::{
 use crate::error::SimError;
 use crate::gmem::GlobalMem;
 use crate::memory::MemorySystem;
-use crate::occupancy::occupancy;
+use crate::occupancy::{check_launch, occupancy, resident_blocks};
 use crate::stats::{SimStats, StallCause, VectorStats};
 use crate::vexec;
 use crat_ptx::eval as interp;
@@ -155,36 +155,23 @@ fn run_machine<'a>(
     deadline: Option<Instant>,
 ) -> Result<Machine<'a>, SimError> {
     crate::config::fault::fire_sim_panic();
-    if launch.grid_blocks == 0 {
-        return Err(SimError::BadLaunch("grid has zero blocks".to_string()));
-    }
-    if launch.block_size == 0 || !launch.block_size.is_multiple_of(cfg.warp_size) {
-        return Err(SimError::BadLaunch(format!(
-            "block size {} is not a positive multiple of {}",
-            launch.block_size, cfg.warp_size
-        )));
-    }
+    check_launch(cfg, launch)?;
     for name in dk.param_names() {
         if !launch.params.contains_key(name) {
             return Err(SimError::MissingParam(name.clone()));
         }
     }
 
-    let occ = occupancy(
-        cfg,
-        regs_per_thread,
-        dk.shared_decl_bytes(),
-        launch.block_size,
-    );
-    let mut resident = occ.blocks.min(tlp_cap.unwrap_or(u32::MAX));
+    let shmem = dk.shared_decl_bytes();
+    let resident = resident_blocks(cfg, launch, regs_per_thread, shmem, tlp_cap);
     if resident == 0 {
+        let occ = occupancy(cfg, regs_per_thread, shmem, launch.block_size);
         return Err(SimError::BadLaunch(format!(
             "kernel does not fit on the SM (limited by {:?})",
             occ.limiter
         )));
     }
     let blocks_this_sm = launch.grid_blocks.div_ceil(cfg.num_sms);
-    resident = resident.min(blocks_this_sm);
 
     let mut m = Machine::new(dk, cfg, launch, blocks_this_sm);
     m.deadline = deadline;

@@ -5,7 +5,8 @@
 //! §2.1). Four dimensions are modeled: threads, blocks, registers, and
 //! shared memory.
 
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, LaunchConfig};
+use crate::error::SimError;
 
 /// Which resource limits the TLP at a given design point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,15 +63,19 @@ pub fn occupancy(
     let by_threads = cfg.max_threads_per_sm / block_size;
     let by_blocks = cfg.max_blocks_per_sm;
 
-    let regs_per_warp = regs_per_thread.max(1) * cfg.warp_size;
-    let regs_per_block = regs_per_warp * warps;
-    let by_registers = cfg.registers_per_sm / regs_per_block.max(1);
+    // A product past `u32::MAX` exceeds any register file or shared
+    // memory, so an overflowing demand fits zero blocks.
+    let by_registers = regs_per_thread
+        .max(1)
+        .checked_mul(cfg.warp_size)
+        .and_then(|per_warp| per_warp.checked_mul(warps))
+        .map_or(0, |per_block| cfg.registers_per_sm / per_block.max(1));
 
-    let shmem_rounded = shmem_per_block.div_ceil(128) * 128;
-    let by_shmem = cfg
-        .shmem_per_sm
-        .checked_div(shmem_rounded)
-        .unwrap_or(u32::MAX);
+    let by_shmem = match shmem_per_block.div_ceil(128).checked_mul(128) {
+        Some(0) => u32::MAX,
+        Some(rounded) => cfg.shmem_per_sm / rounded,
+        None => 0,
+    };
 
     let candidates = [
         (by_threads, LimitingResource::Threads),
@@ -83,6 +88,52 @@ pub fn occupancy(
         .min_by_key(|&(b, _)| b)
         .expect("candidate list is non-empty");
     Occupancy { blocks, limiter }
+}
+
+/// The launch checks the simulator applies before anything else: a
+/// non-empty grid and a block size that is a positive multiple of the
+/// warp size. Every other crat-sim function that takes a launch
+/// assumes they hold.
+///
+/// # Errors
+///
+/// [`SimError::BadLaunch`] naming the first check that fails.
+pub fn check_launch(cfg: &GpuConfig, launch: &LaunchConfig) -> Result<(), SimError> {
+    if launch.grid_blocks == 0 {
+        return Err(SimError::BadLaunch("grid has zero blocks".to_string()));
+    }
+    if launch.block_size == 0 || !launch.block_size.is_multiple_of(cfg.warp_size) {
+        return Err(SimError::BadLaunch(format!(
+            "block size {} is not a positive multiple of {}",
+            launch.block_size, cfg.warp_size
+        )));
+    }
+    Ok(())
+}
+
+/// The resident blocks a simulation of `launch` runs with: the
+/// occupancy limit, capped at `tlp_cap` and at this SM's share of the
+/// grid (`ceil(grid_blocks / num_sms)`). This is the only way the
+/// simulator reads the TLP cap, so two caps that give the same count
+/// give the same simulation. 0 means the kernel does not fit.
+///
+/// Requires a launch that passes [`check_launch`]; never panics on
+/// one, whatever the configuration.
+pub fn resident_blocks(
+    cfg: &GpuConfig,
+    launch: &LaunchConfig,
+    regs_per_thread: u32,
+    shmem_per_block: u32,
+    tlp_cap: Option<u32>,
+) -> u32 {
+    let fit = occupancy(cfg, regs_per_thread, shmem_per_block, launch.block_size)
+        .blocks
+        .min(tlp_cap.unwrap_or(u32::MAX));
+    // A configuration without SMs has no per-SM share.
+    match cfg.num_sms {
+        0 => fit,
+        sms => fit.min(launch.grid_blocks.div_ceil(sms)),
+    }
 }
 
 /// The largest register-per-thread budget that still allows `tlp`
@@ -186,6 +237,40 @@ mod tests {
         let o = occupancy(&fermi(), 16, 64 * 1024, 128);
         assert_eq!(o.blocks, 0);
         assert_eq!(o.limiter, LimitingResource::SharedMemory);
+    }
+
+    #[test]
+    fn resident_blocks_is_the_least_of_occupancy_cap_and_share() {
+        let cfg = fermi();
+        // 48 regs x 256 threads fit 2 blocks; grid 150 gives 10 per SM.
+        let launch = LaunchConfig::new(150, 256);
+        assert_eq!(resident_blocks(&cfg, &launch, 48, 0, None), 2);
+        assert_eq!(resident_blocks(&cfg, &launch, 48, 0, Some(5)), 2);
+        assert_eq!(resident_blocks(&cfg, &launch, 48, 0, Some(1)), 1);
+        assert_eq!(resident_blocks(&cfg, &launch, 48, 0, Some(0)), 0);
+        // Grid 15 leaves one block per SM, whatever the cap.
+        let launch = LaunchConfig::new(15, 256);
+        assert_eq!(resident_blocks(&cfg, &launch, 16, 0, None), 1);
+        assert_eq!(resident_blocks(&cfg, &launch, 16, 0, Some(4)), 1);
+    }
+
+    #[test]
+    fn overflowing_demands_fit_zero_blocks() {
+        let cfg = fermi();
+        let o = occupancy(&cfg, u32::MAX, 0, 128);
+        assert_eq!((o.blocks, o.limiter), (0, LimitingResource::Registers));
+        let o = occupancy(&cfg, 16, u32::MAX, 128);
+        assert_eq!((o.blocks, o.limiter), (0, LimitingResource::SharedMemory));
+        let huge = LaunchConfig::new(u32::MAX, u32::MAX - 31);
+        assert_eq!(resident_blocks(&cfg, &huge, 64, 0, None), 0);
+        let no_sms = GpuConfig {
+            num_sms: 0,
+            ..fermi()
+        };
+        assert_eq!(
+            resident_blocks(&no_sms, &LaunchConfig::new(1, 128), 16, 0, None),
+            8
+        );
     }
 
     /// The paper's §2.2 example: "given 2048 threads, each thread is

@@ -72,6 +72,27 @@ timeout 300 cargo test -q --test store_cross_process
 echo "== golden suite (snapshot drift gate)"
 cargo test -q --test golden_suite
 
+# Benchmark tier: `benchmark/` is a Cargo workspace of its own, so
+# `cargo test --workspace` above skips its unit tests, and nothing else
+# runs its output checks. Two of those checks guard the engine's keys:
+# on `store-warm` every simulation must be a store hit and
+# `store_hits` must equal the records the fill wrote, and the trace's
+# store-backed replay must simulate nothing. `--seconds 0` runs the
+# minimum (100 calls). Each run's last line is its result object.
+echo "== benchmark tier (unit tests + checked short runs)"
+cargo test -q --manifest-path benchmark/Cargo.toml
+bench=(cargo run --release --offline -q --manifest-path benchmark/Cargo.toml --)
+for args in "run optimize-static --seconds 0" "run store-warm --seconds 0" "trace store-warm"; do
+  # shellcheck disable=SC2086 # word-split the subcommand on purpose
+  last=$("${bench[@]}" $args | tail -n 1)
+  if ! echo "$last" | grep -Eq '"correct": ?true'; then
+    echo "benchmark $args did not report correct: true"
+    echo "$last"
+    exit 1
+  fi
+  echo "benchmark $args: correct"
+done
+
 # Slow tier (full-size grids; minutes in debug): cargo test -q -- --ignored
 
 echo "== cargo bench --no-run"
