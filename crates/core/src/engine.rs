@@ -33,8 +33,7 @@
 //!   cooperatively with [`SimError::DeadlineExceeded`];
 //! * **counts** what it did ([`EngineStats`]): simulations executed,
 //!   cache hits, kernels decoded, simulated cycles and warp
-//!   instructions, wall time spent inside the simulator, panics
-//!   caught, and budgets exceeded;
+//!   instructions, panics caught, and budgets exceeded;
 //! * **persists** (optionally): with a [`ResultStore`] attached
 //!   ([`attach_store`](EvalEngine::attach_store), the CLI's
 //!   `--cache-dir`, or `CRAT_CACHE_DIR`), memoizable results are also
@@ -66,9 +65,9 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crat_ptx::Kernel;
 use crat_regalloc::{AllocContext, AllocError, Allocation, StrategyKind};
@@ -159,11 +158,12 @@ fn kernel_key(kernel: &Kernel) -> SimKey {
 }
 
 /// Lock a mutex, recovering from poisoning. The maps the engine guards
-/// are only mutated by single, non-panicking `HashMap` operations, so
-/// a poisoned lock (a worker panicked elsewhere while the OS preempted
-/// it mid-critical-section) still protects a structurally sound map —
-/// recovering is how the engine stays usable after a caught panic.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// are only mutated by single, non-panicking `HashMap` operations, and
+/// the counters only by additions, so a poisoned lock (a worker
+/// panicked elsewhere while the OS preempted it mid-critical-section)
+/// still protects sound data — recovering is how the engine stays
+/// usable after a caught panic.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -236,91 +236,109 @@ impl EvalBudget {
     }
 }
 
-/// Per-strategy allocation counters, indexed by
-/// [`StrategyKind::index`](crat_regalloc::StrategyKind::index) in
-/// [`EngineStats::strategies`]. These track the design-point roster
-/// sweep only — the default-allocation ladder (OptTLP profiling and
-/// the MaxTlp/OptTlp baselines) does not attribute its allocations to
-/// a strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StrategyStats {
-    /// Design points at which this strategy was attempted.
-    pub attempts: u64,
-    /// Design points this strategy's allocation won.
-    pub wins: u64,
-    /// Spill bytes (local per thread + shared per block) summed over
-    /// winning allocations.
-    pub spill_bytes: u64,
-    /// Allocation-context cache hits attributed to this strategy.
-    pub ctx_reuse: u64,
+/// Declare a counter struct from one table. Each row, a doc comment
+/// and a name, becomes a pub `u64` field and an entry of
+/// `counters()`, in table order. The JSON and CSV exporters iterate
+/// that list, so a new counter is one row here plus the site that
+/// bumps it. Typed fields after the braces stay out of `counters()`.
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$doc:meta])* $field:ident,)*
+        }
+        $($(#[$xdoc:meta])* $xfield:ident: $xty:ty,)*
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $name {
+            $($(#[$doc])* pub $field: u64,)*
+            $($(#[$xdoc])* pub $xfield: $xty,)*
+        }
+
+        impl $name {
+            /// Every counter as `(name, value)`, in declaration order.
+            pub fn counters(&self) -> [(&'static str, u64); [$(stringify!($field)),*].len()] {
+                [$((stringify!($field), self.$field)),*]
+            }
+        }
+    };
 }
 
-/// A snapshot of the engine's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineStats {
-    /// Simulations actually executed (cache misses).
-    pub sims_executed: u64,
-    /// Requests served from the memo cache, including requests that
-    /// waited for an in-flight simulation of the same key.
-    pub cache_hits: u64,
-    /// Nanoseconds of wall time spent inside the simulator, summed
-    /// over workers (exceeds elapsed time when running in parallel).
-    pub sim_nanos: u64,
-    /// Kernels lowered to decoded form (decoded-cache misses).
-    pub decodes: u64,
-    /// Cycles simulated, summed over executed simulations.
-    pub sim_cycles: u64,
-    /// Warp instructions executed, summed over executed simulations.
-    pub sim_insts: u64,
-    /// Warp instructions issued through the whole-row vector kernels,
-    /// summed over executed simulations (see
-    /// [`VectorStats`](crat_sim::VectorStats)).
-    pub sim_vector_insts: u64,
-    /// Warp instructions that took the scalar per-lane fallback (SFU
-    /// transcendentals / div / rem, gather-scatter memory), summed
-    /// over executed simulations.
-    pub sim_scalar_insts: u64,
-    /// Superblocks dispatched (maximal same-class decoded runs,
-    /// counted at their head), summed over executed simulations.
-    pub sim_superblocks: u64,
-    /// Worker panics caught and converted to [`CratError::Internal`].
-    pub panics_caught: u64,
-    /// Jobs stopped by an [`EvalBudget`] limit: a cycle override that
-    /// tightened the GPU's own limit was hit, or a deadline expired.
-    pub budget_exceeded: u64,
-    /// Shared allocation contexts built (allocation-analysis cache
-    /// misses).
-    pub alloc_ctx_builds: u64,
-    /// Allocation-context requests served from the cache.
-    pub alloc_ctx_hits: u64,
-    /// Register allocations run through the pipeline (every budget-
-    /// escalation attempt of every design point counts one).
-    pub allocs_run: u64,
-    /// Spill sub-stacks re-homed to shared memory with the
-    /// warp-interleaved layout, summed over winning allocations.
-    pub shm_warp_interleaved: u64,
-    /// Spill sub-stacks re-homed with the per-thread contiguous
-    /// layout, summed over winning allocations.
-    pub shm_per_thread: u64,
-    /// Requests served from the attached persistent store (disk
-    /// records written by an earlier process or run); 0 when no store
-    /// is attached.
-    pub store_hits: u64,
-    /// Store lookups that found no usable record.
-    pub store_misses: u64,
-    /// Records written to the persistent store.
-    pub store_writes: u64,
-    /// Records evicted by the store's byte budget.
-    pub store_evictions: u64,
-    /// On-disk records that failed validation and were quarantined
-    /// (then recomputed on demand).
-    pub store_quarantined: u64,
-    /// Store writes that failed at the filesystem (persistence lost,
-    /// run unaffected).
-    pub store_write_errors: u64,
+counters! {
+    /// Per-strategy allocation counters, indexed by
+    /// [`StrategyKind::index`](crat_regalloc::StrategyKind::index) in
+    /// [`EngineStats::strategies`]. These track the design-point roster
+    /// sweep only — the default-allocation ladder (OptTLP profiling and
+    /// the MaxTlp/OptTlp baselines) does not attribute its allocations to
+    /// a strategy.
+    pub struct StrategyStats {
+        /// Design points at which this strategy was attempted.
+        attempts,
+        /// Design points this strategy's allocation won.
+        wins,
+        /// Spill bytes (local per thread + shared per block) summed over
+        /// winning allocations.
+        spill_bytes,
+        /// Allocation-context cache hits attributed to this strategy.
+        ctx_reuse,
+    }
+}
+
+counters! {
+    /// A snapshot of the engine's counters. None reads a clock, so the
+    /// same calls give the same snapshot at any thread count.
+    pub struct EngineStats {
+        /// Simulations actually executed (cache misses).
+        sims_executed,
+        /// Requests served from the memo cache, including requests that
+        /// waited for an in-flight simulation of the same key.
+        cache_hits,
+        /// Kernels lowered to decoded form (decoded-cache misses).
+        decodes,
+        /// Cycles simulated, summed over executed simulations.
+        sim_cycles,
+        /// Warp instructions executed, summed over executed simulations.
+        sim_insts,
+        /// Worker panics caught and converted to [`CratError::Internal`].
+        panics_caught,
+        /// Jobs stopped by an [`EvalBudget`] limit: a cycle override that
+        /// tightened the GPU's own limit was hit, or a deadline expired.
+        budget_exceeded,
+        /// Shared allocation contexts built (allocation-analysis cache
+        /// misses).
+        alloc_ctx_builds,
+        /// Allocation-context requests served from the cache.
+        alloc_ctx_hits,
+        /// Register allocations run through the pipeline (every budget-
+        /// escalation attempt of every design point counts one).
+        allocs_run,
+        /// Spill sub-stacks re-homed to shared memory with the
+        /// warp-interleaved layout, summed over winning allocations.
+        shm_warp_interleaved,
+        /// Spill sub-stacks re-homed with the per-thread contiguous
+        /// layout, summed over winning allocations.
+        shm_per_thread,
+        /// Requests served from the attached persistent store (disk
+        /// records written by an earlier process or run); 0 when no store
+        /// is attached.
+        store_hits,
+        /// Store lookups that found no usable record.
+        store_misses,
+        /// Records written to the persistent store.
+        store_writes,
+        /// Records evicted by the store's byte budget.
+        store_evictions,
+        /// On-disk records that failed validation and were quarantined
+        /// (then recomputed on demand).
+        store_quarantined,
+        /// Store writes that failed at the filesystem (persistence lost,
+        /// run unaffected).
+        store_write_errors,
+    }
     /// Per-strategy roster counters, indexed by
     /// [`StrategyKind::index`](crat_regalloc::StrategyKind::index).
-    pub strategies: [StrategyStats; 4],
+    strategies: [StrategyStats; 4],
 }
 
 impl EngineStats {
@@ -358,43 +376,81 @@ impl EngineStats {
             self.store_hits as f64 / total as f64
         }
     }
+}
 
-    /// Wall time spent simulating, summed over workers.
-    pub fn sim_time(&self) -> Duration {
-        Duration::from_nanos(self.sim_nanos)
+impl std::fmt::Display for EngineStats {
+    /// The one-line text summary the `crat` CLI and the experiment
+    /// binaries print. Segments past the decode count appear only when
+    /// their counters are non-zero.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} sims, {} cache hits ({:.0}%), {} decodes",
+            self.sims_executed,
+            self.cache_hits,
+            self.hit_rate() * 100.0,
+            self.decodes
+        )?;
+        if self.allocs_run > 0 {
+            write!(
+                f,
+                ", {} allocs off {} shared ctx ({} ctx hits)",
+                self.allocs_run, self.alloc_ctx_builds, self.alloc_ctx_hits
+            )?;
+        }
+        let mut sep = ", strategy wins/attempts:";
+        for kind in StrategyKind::ALL {
+            let s = self.strategies[kind.index()];
+            if s.attempts > 0 {
+                write!(f, "{sep} {} {}/{}", kind.label(), s.wins, s.attempts)?;
+                sep = "";
+            }
+        }
+        if self.shm_warp_interleaved + self.shm_per_thread > 0 {
+            write!(
+                f,
+                ", shm layouts: {} warp-interleaved / {} per-thread",
+                self.shm_warp_interleaved, self.shm_per_thread
+            )?;
+        }
+        // Present only when a store is in play (a lookup, write, or
+        // failure actually happened).
+        if self.store_lookups() + self.store_writes + self.store_write_errors > 0 {
+            write!(
+                f,
+                ", store: {} hits ({:.0}%) / {} misses, {} writes",
+                self.store_hits,
+                self.store_hit_rate() * 100.0,
+                self.store_misses,
+                self.store_writes
+            )?;
+            write_nonzero(
+                f,
+                &[
+                    (self.store_evictions, "evicted"),
+                    (self.store_quarantined, "quarantined"),
+                    (self.store_write_errors, "write errors"),
+                ],
+            )?;
+        }
+        write_nonzero(
+            f,
+            &[
+                (self.panics_caught, "panics caught"),
+                (self.budget_exceeded, "budgets exceeded"),
+            ],
+        )
     }
+}
 
-    /// Simulator throughput in warp instructions per second of sim
-    /// time; 0 when nothing has been simulated.
-    pub fn sim_insts_per_sec(&self) -> f64 {
-        if self.sim_nanos == 0 {
-            0.0
-        } else {
-            self.sim_insts as f64 * 1e9 / self.sim_nanos as f64
+/// Write `, <n> <what>` for each non-zero count.
+fn write_nonzero(f: &mut std::fmt::Formatter<'_>, counts: &[(u64, &str)]) -> std::fmt::Result {
+    for &(n, what) in counts {
+        if n > 0 {
+            write!(f, ", {n} {what}")?;
         }
     }
-
-    /// Simulator throughput in cycles per second of sim time; 0 when
-    /// nothing has been simulated.
-    pub fn sim_cycles_per_sec(&self) -> f64 {
-        if self.sim_nanos == 0 {
-            0.0
-        } else {
-            self.sim_cycles as f64 * 1e9 / self.sim_nanos as f64
-        }
-    }
-
-    /// Fraction of lane-looping warp instructions that ran through the
-    /// vector kernels (1.0 when nothing fell back to the scalar path,
-    /// including when nothing has been simulated).
-    pub fn vector_fraction(&self) -> f64 {
-        let denom = self.sim_vector_insts + self.sim_scalar_insts;
-        if denom == 0 {
-            1.0
-        } else {
-            self.sim_vector_insts as f64 / denom as f64
-        }
-    }
+    Ok(())
 }
 
 /// Cache slot: filled exactly once by whichever request arrives first;
@@ -411,50 +467,11 @@ pub struct EvalEngine {
     alloc_ctx: Mutex<HashMap<SimKey, Arc<AllocContext>>>,
     default_alloc: Mutex<HashMap<(SimKey, u32), Arc<Allocation>>>,
     store: Mutex<Option<Arc<ResultStore>>>,
-    sims_executed: AtomicU64,
-    cache_hits: AtomicU64,
-    sim_nanos: AtomicU64,
-    decodes: AtomicU64,
-    sim_cycles: AtomicU64,
-    sim_insts: AtomicU64,
-    sim_vector_insts: AtomicU64,
-    sim_scalar_insts: AtomicU64,
-    sim_superblocks: AtomicU64,
-    panics_caught: AtomicU64,
-    budget_exceeded: AtomicU64,
-    alloc_ctx_builds: AtomicU64,
-    alloc_ctx_hits: AtomicU64,
-    allocs_run: AtomicU64,
-    shm_warp_interleaved: AtomicU64,
-    shm_per_thread: AtomicU64,
-    strategies: [StrategyCells; 4],
-}
-
-/// Atomic backing for one strategy's [`StrategyStats`].
-#[derive(Debug, Default)]
-struct StrategyCells {
-    attempts: AtomicU64,
-    wins: AtomicU64,
-    spill_bytes: AtomicU64,
-    ctx_reuse: AtomicU64,
-}
-
-impl StrategyCells {
-    fn snapshot(&self) -> StrategyStats {
-        StrategyStats {
-            attempts: self.attempts.load(Ordering::Relaxed),
-            wins: self.wins.load(Ordering::Relaxed),
-            spill_bytes: self.spill_bytes.load(Ordering::Relaxed),
-            ctx_reuse: self.ctx_reuse.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        self.attempts.store(0, Ordering::Relaxed);
-        self.wins.store(0, Ordering::Relaxed);
-        self.spill_bytes.store(0, Ordering::Relaxed);
-        self.ctx_reuse.store(0, Ordering::Relaxed);
-    }
+    /// The engine's own counters ([`stats`](EvalEngine::stats) lays the
+    /// store's over them). Bumped per request, allocation or decode,
+    /// never per cycle; always the last lock taken, and held only for
+    /// the bump.
+    counters: Mutex<EngineStats>,
 }
 
 impl EvalEngine {
@@ -473,23 +490,7 @@ impl EvalEngine {
             alloc_ctx: Mutex::new(HashMap::new()),
             default_alloc: Mutex::new(HashMap::new()),
             store: Mutex::new(None),
-            sims_executed: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            sim_nanos: AtomicU64::new(0),
-            decodes: AtomicU64::new(0),
-            sim_cycles: AtomicU64::new(0),
-            sim_insts: AtomicU64::new(0),
-            sim_vector_insts: AtomicU64::new(0),
-            sim_scalar_insts: AtomicU64::new(0),
-            sim_superblocks: AtomicU64::new(0),
-            panics_caught: AtomicU64::new(0),
-            budget_exceeded: AtomicU64::new(0),
-            alloc_ctx_builds: AtomicU64::new(0),
-            alloc_ctx_hits: AtomicU64::new(0),
-            allocs_run: AtomicU64::new(0),
-            shm_warp_interleaved: AtomicU64::new(0),
-            shm_per_thread: AtomicU64::new(0),
-            strategies: std::array::from_fn(|_| StrategyCells::default()),
+            counters: Mutex::default(),
         }
     }
 
@@ -529,7 +530,8 @@ impl EvalEngine {
         lock(&self.store).is_some()
     }
 
-    /// A snapshot of the engine's counters.
+    /// A snapshot of the engine's counters, with the attached store's
+    /// counters laid over the `store_*` fields.
     pub fn stats(&self) -> EngineStats {
         let store = self.store().map(|s| s.stats()).unwrap_or_default();
         EngineStats {
@@ -539,24 +541,14 @@ impl EvalEngine {
             store_evictions: store.evictions,
             store_quarantined: store.quarantined,
             store_write_errors: store.write_errors,
-            sims_executed: self.sims_executed.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            sim_nanos: self.sim_nanos.load(Ordering::Relaxed),
-            decodes: self.decodes.load(Ordering::Relaxed),
-            sim_cycles: self.sim_cycles.load(Ordering::Relaxed),
-            sim_insts: self.sim_insts.load(Ordering::Relaxed),
-            sim_vector_insts: self.sim_vector_insts.load(Ordering::Relaxed),
-            sim_scalar_insts: self.sim_scalar_insts.load(Ordering::Relaxed),
-            sim_superblocks: self.sim_superblocks.load(Ordering::Relaxed),
-            panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            budget_exceeded: self.budget_exceeded.load(Ordering::Relaxed),
-            alloc_ctx_builds: self.alloc_ctx_builds.load(Ordering::Relaxed),
-            alloc_ctx_hits: self.alloc_ctx_hits.load(Ordering::Relaxed),
-            allocs_run: self.allocs_run.load(Ordering::Relaxed),
-            shm_warp_interleaved: self.shm_warp_interleaved.load(Ordering::Relaxed),
-            shm_per_thread: self.shm_per_thread.load(Ordering::Relaxed),
-            strategies: std::array::from_fn(|i| self.strategies[i].snapshot()),
+            ..*lock(&self.counters)
         }
+    }
+
+    /// Add to the counters under their lock. `f` only adds to fields:
+    /// it takes no other lock and makes no call.
+    pub(crate) fn bump(&self, f: impl FnOnce(&mut EngineStats)) {
+        f(&mut lock(&self.counters));
     }
 
     /// Number of distinct operating points cached so far.
@@ -586,25 +578,7 @@ impl EvalEngine {
         lock(&self.decoded).clear();
         lock(&self.alloc_ctx).clear();
         lock(&self.default_alloc).clear();
-        self.sims_executed.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.sim_nanos.store(0, Ordering::Relaxed);
-        self.decodes.store(0, Ordering::Relaxed);
-        self.sim_cycles.store(0, Ordering::Relaxed);
-        self.sim_insts.store(0, Ordering::Relaxed);
-        self.sim_vector_insts.store(0, Ordering::Relaxed);
-        self.sim_scalar_insts.store(0, Ordering::Relaxed);
-        self.sim_superblocks.store(0, Ordering::Relaxed);
-        self.panics_caught.store(0, Ordering::Relaxed);
-        self.budget_exceeded.store(0, Ordering::Relaxed);
-        self.alloc_ctx_builds.store(0, Ordering::Relaxed);
-        self.alloc_ctx_hits.store(0, Ordering::Relaxed);
-        self.allocs_run.store(0, Ordering::Relaxed);
-        self.shm_warp_interleaved.store(0, Ordering::Relaxed);
-        self.shm_per_thread.store(0, Ordering::Relaxed);
-        for s in &self.strategies {
-            s.reset();
-        }
+        *lock(&self.counters) = EngineStats::default();
     }
 
     /// Fetch (or build) the shared allocation analysis for `kernel`,
@@ -626,7 +600,7 @@ impl EvalEngine {
     pub fn alloc_context_tracked(&self, kernel: &Kernel) -> (Arc<AllocContext>, bool) {
         let key = kernel_key(kernel);
         if let Some(ctx) = lock(&self.alloc_ctx).get(&key) {
-            self.alloc_ctx_hits.fetch_add(1, Ordering::Relaxed);
+            self.bump(|c| c.alloc_ctx_hits += 1);
             return (ctx.clone(), true);
         }
         // Build outside the lock: analyses can take milliseconds on
@@ -635,11 +609,11 @@ impl EvalEngine {
         let mut cache = lock(&self.alloc_ctx);
         match cache.entry(key) {
             Entry::Occupied(e) => {
-                self.alloc_ctx_hits.fetch_add(1, Ordering::Relaxed);
+                self.bump(|c| c.alloc_ctx_hits += 1);
                 (e.get().clone(), true)
             }
             Entry::Vacant(v) => {
-                self.alloc_ctx_builds.fetch_add(1, Ordering::Relaxed);
+                self.bump(|c| c.alloc_ctx_builds += 1);
                 (v.insert(ctx).clone(), false)
             }
         }
@@ -672,47 +646,6 @@ impl EvalEngine {
             .clone())
     }
 
-    /// Record `n` register-allocation runs (the pipeline calls this
-    /// once per allocator invocation, including each budget-escalation
-    /// attempt).
-    pub fn count_allocs(&self, n: u64) {
-        self.allocs_run.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record that `kind` was attempted at a design point.
-    pub fn count_strategy_attempt(&self, kind: StrategyKind) {
-        self.strategies[kind.index()]
-            .attempts
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record that `kind` won a design point with an allocation
-    /// spilling `spill_bytes` (local per thread + shared per block).
-    pub fn count_strategy_win(&self, kind: StrategyKind, spill_bytes: u64) {
-        let cells = &self.strategies[kind.index()];
-        cells.wins.fetch_add(1, Ordering::Relaxed);
-        cells.spill_bytes.fetch_add(spill_bytes, Ordering::Relaxed);
-    }
-
-    /// Record the shared-memory layouts of a winning allocation's
-    /// re-homed sub-stacks.
-    pub fn count_shm_layouts(&self, warp_interleaved: u64, per_thread: u64) {
-        if warp_interleaved > 0 {
-            self.shm_warp_interleaved
-                .fetch_add(warp_interleaved, Ordering::Relaxed);
-        }
-        if per_thread > 0 {
-            self.shm_per_thread.fetch_add(per_thread, Ordering::Relaxed);
-        }
-    }
-
-    /// Record an allocation-context cache hit attributed to `kind`.
-    pub fn count_strategy_ctx_reuse(&self, kind: StrategyKind) {
-        self.strategies[kind.index()]
-            .ctx_reuse
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Lower `kernel` through the decoded-kernel cache: the first call
     /// for a given structural hash validates and decodes; later calls
     /// (any operating point of the same binary) share the result.
@@ -734,7 +667,7 @@ impl EvalEngine {
         match cache.entry(key) {
             Entry::Occupied(e) => Ok(e.get().clone()),
             Entry::Vacant(v) => {
-                self.decodes.fetch_add(1, Ordering::Relaxed);
+                self.bump(|c| c.decodes += 1);
                 Ok(v.insert(dk).clone())
             }
         }
@@ -815,7 +748,7 @@ impl EvalEngine {
             }
         };
         if !owner {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.bump(|c| c.cache_hits += 1);
             return slot.wait().clone();
         }
         // Owner path: consult the persistent store before simulating.
@@ -829,7 +762,6 @@ impl EvalEngine {
                 return result;
             }
         }
-        let started = Instant::now();
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             self.decode_cached(kernel).and_then(|dk| {
                 crat_sim::simulate_decoded(
@@ -842,55 +774,39 @@ impl EvalEngine {
                 )
             })
         }));
-        let nanos = started.elapsed().as_nanos() as u64;
-        self.sims_executed.fetch_add(1, Ordering::Relaxed);
-        self.sim_nanos.fetch_add(nanos, Ordering::Relaxed);
+        let panicked = caught.is_err();
         let result: Result<SimStats, CratError> = match caught {
-            Ok(r) => r
-                .map(|(s, v)| {
-                    self.sim_vector_insts
-                        .fetch_add(v.vector_insts, Ordering::Relaxed);
-                    self.sim_scalar_insts
-                        .fetch_add(v.scalar_insts, Ordering::Relaxed);
-                    self.sim_superblocks
-                        .fetch_add(v.superblocks, Ordering::Relaxed);
-                    s
-                })
-                .map_err(CratError::Sim),
-            Err(payload) => {
-                self.panics_caught.fetch_add(1, Ordering::Relaxed);
-                Err(CratError::Internal {
-                    job: format!(
-                        "sim job (kernel `{}`, gpu `{}`, grid {}, block {}, regs {}, tlp {:?})",
-                        kernel.name(),
-                        gpu.name,
-                        launch.grid_blocks,
-                        launch.block_size,
-                        regs_per_thread,
-                        tlp_cap,
-                    ),
-                    payload: payload_string(payload.as_ref()),
-                })
-            }
+            Ok(r) => r.map_err(CratError::Sim),
+            Err(payload) => Err(CratError::Internal {
+                job: format!(
+                    "sim job (kernel `{}`, gpu `{}`, grid {}, block {}, regs {}, tlp {:?})",
+                    kernel.name(),
+                    gpu.name,
+                    launch.grid_blocks,
+                    launch.block_size,
+                    regs_per_thread,
+                    tlp_cap,
+                ),
+                payload: payload_string(payload.as_ref()),
+            }),
         };
-        if let Ok(s) = &result {
-            self.sim_cycles.fetch_add(s.cycles, Ordering::Relaxed);
-            self.sim_insts.fetch_add(s.warp_insts, Ordering::Relaxed);
-        }
-        // Decide whether this outcome may stay memoized (module docs).
-        let evict = match &result {
-            Err(CratError::Internal { .. }) => true,
-            Err(CratError::Sim(SimError::DeadlineExceeded { .. })) => {
-                self.budget_exceeded.fetch_add(1, Ordering::Relaxed);
-                true
-            }
+        // Decide whether this outcome may stay memoized (module docs),
+        // and whether it counts against the budget.
+        let (evict, over_budget) = match &result {
+            Err(CratError::Internal { .. }) => (true, false),
+            Err(CratError::Sim(SimError::DeadlineExceeded { .. })) => (true, true),
             // Only a limit the budget set counts as the budget's.
-            Err(CratError::Sim(SimError::CycleLimit { .. })) if tightened.is_some() => {
-                self.budget_exceeded.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            _ => false,
+            Err(CratError::Sim(SimError::CycleLimit { .. })) => (false, tightened.is_some()),
+            _ => (false, false),
         };
+        let (cycles, insts) = result.as_ref().map_or((0, 0), |s| (s.cycles, s.warp_insts));
+        self.bump(|c| {
+            c.sims_executed += 1;
+            c.panics_caught += u64::from(panicked);
+            c.budget_exceeded += u64::from(over_budget);
+            c.sim_cycles += cycles;
+            c.sim_insts += insts;
+        });
         // Fill the slot first so concurrent waiters always unblock,
         // then drop the entry for non-memoizable outcomes. New
         // requesters arriving before the removal wait on this slot and
@@ -943,7 +859,12 @@ impl EvalEngine {
         let n = items.len();
         let width = self.threads.min(n);
         if width <= 1 {
-            return items.iter().map(f).collect();
+            let serial =
+                std::panic::catch_unwind(AssertUnwindSafe(|| items.iter().map(&f).collect()));
+            return serial.unwrap_or_else(|payload| {
+                self.bump(|c| c.panics_caught += 1);
+                std::panic::resume_unwind(payload)
+            });
         }
         let next = AtomicUsize::new(0);
         let mut indexed: Vec<(usize, R)> = Vec::with_capacity(n);
@@ -971,7 +892,7 @@ impl EvalEngine {
                 match w.join() {
                     Ok(part) => indexed.extend(part),
                     Err(payload) => {
-                        self.panics_caught.fetch_add(1, Ordering::Relaxed);
+                        self.bump(|c| c.panics_caught += 1);
                         first_panic.get_or_insert(payload);
                     }
                 }
@@ -1000,7 +921,7 @@ impl EvalEngine {
             match std::panic::catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
                 Ok(r) => Ok(r),
                 Err(payload) => {
-                    self.panics_caught.fetch_add(1, Ordering::Relaxed);
+                    self.bump(|c| c.panics_caught += 1);
                     Err(CratError::Internal {
                         job: format!("batch item {i}"),
                         payload: payload_string(payload.as_ref()),
@@ -1090,6 +1011,7 @@ pub fn simulate(
 mod tests {
     use super::*;
     use crat_workloads::{build_kernel, launch_sized, suite};
+    use std::time::Duration;
 
     fn setup() -> (Kernel, GpuConfig, LaunchConfig) {
         let app = suite::spec("BAK");
@@ -1250,20 +1172,29 @@ mod tests {
 
     #[test]
     fn par_map_drains_workers_on_panic_and_reraises() {
-        let engine = EvalEngine::new(4);
-        let items: Vec<u64> = (0..32).collect();
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            engine.par_map(&items, |&x| {
-                assert!(x != 3, "worker blew up");
-                x
-            })
-        }));
-        let payload = caught.expect_err("panic must propagate");
-        assert!(payload_string(payload.as_ref()).contains("worker blew up"));
-        assert!(engine.stats().panics_caught >= 1);
-        // The engine is still usable after the propagated panic.
-        let ok = engine.par_map(&items, |&x| x + 1);
-        assert_eq!(ok[31], 32);
+        // The serial path (width 1, or a single item) counts the panic
+        // exactly as the worker pool does.
+        for (threads, n) in [(1, 32), (4, 32), (4, 1)] {
+            let engine = EvalEngine::new(threads);
+            let items: Vec<u64> = (0..n).collect();
+            let bad = n.min(4) - 1;
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                engine.par_map(&items, |&x| {
+                    assert!(x != bad, "worker blew up");
+                    x
+                })
+            }));
+            let payload = caught.expect_err("panic must propagate");
+            assert!(payload_string(payload.as_ref()).contains("worker blew up"));
+            assert_eq!(
+                engine.stats().panics_caught,
+                1,
+                "{threads} threads, {n} items"
+            );
+            // The engine is still usable after the propagated panic.
+            let ok = engine.par_map(&items, |&x| x + 1);
+            assert_eq!(ok[n as usize - 1], n);
+        }
     }
 
     #[test]
@@ -1356,8 +1287,6 @@ mod tests {
         assert_eq!(engine.decoded_len(), 1);
         assert!(stats.sim_cycles > 0);
         assert!(stats.sim_insts > 0);
-        assert!(stats.sim_insts_per_sec() > 0.0);
-        assert!(stats.sim_cycles_per_sec() > 0.0);
         engine.reset();
         assert_eq!(engine.decoded_len(), 0);
     }
@@ -1385,7 +1314,7 @@ mod tests {
         assert_eq!(stats.alloc_ctx_builds, 1);
         assert_eq!(stats.alloc_ctx_hits, 1);
         assert_eq!(engine.alloc_ctx_len(), 1);
-        engine.count_allocs(3);
+        engine.bump(|c| c.allocs_run += 3);
         assert_eq!(engine.stats().allocs_run, 3);
         // A different kernel gets its own context.
         let other = build_kernel(suite::spec("CFD"));

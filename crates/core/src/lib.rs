@@ -58,7 +58,8 @@ use std::fmt;
 pub use design_space::{prune, staircase, DesignPoint, ALLOC_FLOOR};
 pub use engine::{EngineStats, EvalBudget, EvalEngine, SimJob, StrategyStats};
 pub use metrics::{
-    engine_to_json, metrics_document, stats_from_json, stats_to_json, Json, MetricsPoint,
+    engine_to_csv, engine_to_json, metrics_document, stats_from_json, stats_to_json, Json,
+    MetricsPoint,
 };
 pub use pipeline::{
     optimize, optimize_oracle, optimize_oracle_with, optimize_with, AllocStrategy, Candidate,

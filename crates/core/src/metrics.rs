@@ -1,6 +1,6 @@
 //! Metrics export: a small hand-rolled JSON value type plus converters
 //! for [`SimStats`] (including the cycle attribution) and
-//! [`EngineStats`].
+//! [`EngineStats`] (JSON and CSV).
 //!
 //! The build environment is offline, so rather than depending on a
 //! serialization framework this module carries its own writer and
@@ -9,13 +9,14 @@
 //! through [`stats_to_json`]/[`stats_from_json`], so a value always
 //! round-trips bit-identically (all counters are integers).
 //!
-//! Engine stats are exported *without* wall-time fields (`sim_nanos`
-//! and its derived rates): every remaining counter is deterministic,
-//! so a metrics document is stable across `--threads 1` and
-//! `--threads N`.
+//! Both engine exporters iterate [`EngineStats::counters`], so JSON and
+//! CSV carry every counter under the name it is declared with. No
+//! engine counter reads a clock, so a metrics document is stable
+//! across `--threads 1` and `--threads N`.
 
 use std::fmt::Write as _;
 
+use crat_regalloc::StrategyKind;
 use crat_sim::{SimStats, StallCause, NUM_CAUSES};
 
 use crate::engine::EngineStats;
@@ -548,87 +549,44 @@ pub fn stats_from_json(json: &Json) -> Result<SimStats, String> {
     Ok(stats)
 }
 
-/// Serialize the deterministic subset of [`EngineStats`]: wall-time
-/// fields are excluded so the document is stable across thread counts.
+fn int_fields(counters: &[(&str, u64)]) -> Vec<(String, Json)> {
+    counters
+        .iter()
+        .map(|&(name, v)| (name.to_string(), Json::Int(v)))
+        .collect()
+}
+
+/// Serialize [`EngineStats`]: the counters, then each strategy's
+/// counters under `strategies.<key>`, then the derived `requests`.
 pub fn engine_to_json(stats: &EngineStats) -> Json {
-    Json::Obj(vec![
-        ("threads_independent".to_string(), Json::Bool(true)),
-        ("sims_executed".to_string(), Json::Int(stats.sims_executed)),
-        ("cache_hits".to_string(), Json::Int(stats.cache_hits)),
-        ("requests".to_string(), Json::Int(stats.requests())),
-        ("decodes".to_string(), Json::Int(stats.decodes)),
-        ("sim_cycles".to_string(), Json::Int(stats.sim_cycles)),
-        ("sim_insts".to_string(), Json::Int(stats.sim_insts)),
-        (
-            "sim_vector_insts".to_string(),
-            Json::Int(stats.sim_vector_insts),
-        ),
-        (
-            "sim_scalar_insts".to_string(),
-            Json::Int(stats.sim_scalar_insts),
-        ),
-        (
-            "sim_superblocks".to_string(),
-            Json::Int(stats.sim_superblocks),
-        ),
-        ("panics_caught".to_string(), Json::Int(stats.panics_caught)),
-        (
-            "budget_exceeded".to_string(),
-            Json::Int(stats.budget_exceeded),
-        ),
-        (
-            "alloc_ctx_builds".to_string(),
-            Json::Int(stats.alloc_ctx_builds),
-        ),
-        (
-            "alloc_ctx_hits".to_string(),
-            Json::Int(stats.alloc_ctx_hits),
-        ),
-        ("allocs_run".to_string(), Json::Int(stats.allocs_run)),
-        (
-            "shm_warp_interleaved".to_string(),
-            Json::Int(stats.shm_warp_interleaved),
-        ),
-        (
-            "shm_per_thread".to_string(),
-            Json::Int(stats.shm_per_thread),
-        ),
-        ("store_hits".to_string(), Json::Int(stats.store_hits)),
-        ("store_misses".to_string(), Json::Int(stats.store_misses)),
-        ("store_writes".to_string(), Json::Int(stats.store_writes)),
-        (
-            "store_evictions".to_string(),
-            Json::Int(stats.store_evictions),
-        ),
-        (
-            "store_quarantined".to_string(),
-            Json::Int(stats.store_quarantined),
-        ),
-        (
-            "store_write_errors".to_string(),
-            Json::Int(stats.store_write_errors),
-        ),
-        (
-            "strategies".to_string(),
-            Json::Obj(
-                crat_regalloc::StrategyKind::ALL
-                    .iter()
-                    .map(|kind| {
-                        let s = stats.strategies[kind.index()];
-                        (
-                            kind.json_key().to_string(),
-                            Json::Obj(vec![
-                                ("attempts".to_string(), Json::Int(s.attempts)),
-                                ("wins".to_string(), Json::Int(s.wins)),
-                                ("spill_bytes".to_string(), Json::Int(s.spill_bytes)),
-                                ("ctx_reuse".to_string(), Json::Int(s.ctx_reuse)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let strategies = StrategyKind::ALL
+        .iter()
+        .map(|k| {
+            let counters = stats.strategies[k.index()].counters();
+            (k.json_key().to_string(), Json::Obj(int_fields(&counters)))
+        })
+        .collect();
+    let mut fields = vec![("threads_independent".to_string(), Json::Bool(true))];
+    fields.extend(int_fields(&stats.counters()));
+    fields.push(("strategies".to_string(), Json::Obj(strategies)));
+    fields.push(("requests".to_string(), Json::Int(stats.requests())));
+    Json::Obj(fields)
+}
+
+/// [`engine_to_json`] as `name,value` CSV rows under the same names,
+/// each strategy's counters flattened to `strategy_<key>_<name>`.
+pub fn engine_to_csv(stats: &EngineStats) -> String {
+    let mut out = String::new();
+    for (name, v) in stats.counters() {
+        let _ = writeln!(out, "{name},{v}");
+    }
+    for k in StrategyKind::ALL {
+        for (name, v) in stats.strategies[k.index()].counters() {
+            let _ = writeln!(out, "strategy_{}_{name},{v}", k.json_key());
+        }
+    }
+    let _ = writeln!(out, "requests,{}", stats.requests());
+    out
 }
 
 /// One evaluated operating point for a metrics document.
@@ -672,7 +630,7 @@ pub fn metrics_document(points: &[MetricsPoint], engine: &EngineStats) -> Json {
 mod tests {
     use super::*;
     use crat_sim::{simulate, GpuConfig};
-    use crat_workloads::{build_kernel, launch, suite};
+    use crat_workloads::{build_kernel, launch, launch_sized, suite};
 
     fn sample_stats() -> SimStats {
         let app = suite::spec("CFD");
@@ -721,67 +679,74 @@ mod tests {
     }
 
     #[test]
-    fn engine_export_omits_wall_time() {
-        let mut stats = EngineStats {
-            sims_executed: 3,
-            cache_hits: 5,
-            sim_nanos: 123_456,
-            decodes: 1,
-            sim_cycles: 1000,
-            sim_insts: 2000,
-            sim_vector_insts: 1800,
-            sim_scalar_insts: 150,
-            sim_superblocks: 90,
-            panics_caught: 1,
-            budget_exceeded: 2,
-            alloc_ctx_builds: 4,
-            alloc_ctx_hits: 9,
-            allocs_run: 13,
-            store_misses: 6,
-            store_writes: 11,
-            store_quarantined: 4,
-            ..EngineStats::default()
-        };
-        stats.strategies[crat_regalloc::StrategyKind::Ssa.index()] = crate::StrategyStats {
-            attempts: 7,
-            wins: 2,
-            spill_bytes: 640,
-            ctx_reuse: 5,
-        };
+    fn engine_counters_export_once_under_one_name() {
+        // A real snapshot: CFD optimized on a fresh engine with a store.
+        let dir = std::env::temp_dir().join(format!("crat-metrics-export-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = crate::EvalEngine::serial();
+        let store = crate::ResultStore::open(crate::StoreConfig::new(&dir)).unwrap();
+        let _ = engine.attach_store(std::sync::Arc::new(store));
+        let app = suite::spec("CFD");
+        let (gpu, launch) = (GpuConfig::fermi(), launch_sized(app, 30));
+        let opts = crate::CratOptions::new();
+        crate::optimize_with(&engine, &build_kernel(app), &gpu, &launch, &opts).unwrap();
+        let stats = engine.stats();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(stats.sims_executed > 0 && stats.store_writes > 0 && stats.allocs_run > 0);
+        assert!(stats.strategies.iter().any(|s| s.attempts > 0));
+
+        let counters = stats.counters();
+        let names: std::collections::HashSet<_> = counters.iter().map(|&(n, _)| n).collect();
+        assert_eq!(names.len(), counters.len(), "counter names are unique");
+
         let json = engine_to_json(&stats);
-        assert!(json.get("sim_nanos").is_none());
-        assert_eq!(json.get("requests"), Some(&Json::Int(8)));
-        assert_eq!(json.get("sim_vector_insts"), Some(&Json::Int(1800)));
-        assert_eq!(json.get("sim_scalar_insts"), Some(&Json::Int(150)));
-        assert_eq!(json.get("sim_superblocks"), Some(&Json::Int(90)));
-        assert_eq!(json.get("panics_caught"), Some(&Json::Int(1)));
-        assert_eq!(json.get("budget_exceeded"), Some(&Json::Int(2)));
-        assert_eq!(json.get("alloc_ctx_builds"), Some(&Json::Int(4)));
-        assert_eq!(json.get("alloc_ctx_hits"), Some(&Json::Int(9)));
-        assert_eq!(json.get("allocs_run"), Some(&Json::Int(13)));
-        assert_eq!(json.get("shm_warp_interleaved"), Some(&Json::Int(0)));
-        assert_eq!(json.get("shm_per_thread"), Some(&Json::Int(0)));
-        assert_eq!(json.get("store_hits"), Some(&Json::Int(0)));
-        assert_eq!(json.get("store_misses"), Some(&Json::Int(6)));
-        assert_eq!(json.get("store_writes"), Some(&Json::Int(11)));
-        assert_eq!(json.get("store_evictions"), Some(&Json::Int(0)));
-        assert_eq!(json.get("store_quarantined"), Some(&Json::Int(4)));
-        assert_eq!(json.get("store_write_errors"), Some(&Json::Int(0)));
-        let ssa = json
-            .get("strategies")
-            .and_then(|s| s.get("ssa"))
-            .expect("per-strategy block");
-        assert_eq!(ssa.get("attempts"), Some(&Json::Int(7)));
-        assert_eq!(ssa.get("wins"), Some(&Json::Int(2)));
-        assert_eq!(ssa.get("spill_bytes"), Some(&Json::Int(640)));
-        assert_eq!(ssa.get("ctx_reuse"), Some(&Json::Int(5)));
-        let briggs = json
-            .get("strategies")
-            .and_then(|s| s.get("sched_briggs"))
-            .expect("label is json-friendly");
-        assert_eq!(briggs.get("attempts"), Some(&Json::Int(0)));
-        let text = json.pretty();
-        assert!(!text.contains("nanos"), "{text}");
+        let text = json.compact();
+        let csv = engine_to_csv(&stats);
+        let csv_rows: Vec<(&str, u64)> = csv
+            .lines()
+            .map(|line| {
+                let (name, v) = line.split_once(',').unwrap();
+                (name, v.parse().unwrap())
+            })
+            .collect();
+        let in_csv = |name: &str| -> Vec<u64> {
+            csv_rows
+                .iter()
+                .filter(|r| r.0 == name)
+                .map(|r| r.1)
+                .collect()
+        };
+        for (name, value) in counters {
+            assert_eq!(text.matches(&format!("\"{name}\":")).count(), 1, "{name}");
+            assert_eq!(json.get(name), Some(&Json::Int(value)), "{name}");
+            assert_eq!(in_csv(name), [value], "{name}");
+        }
+        assert_eq!(json.get("requests"), Some(&Json::Int(stats.requests())));
+        assert_eq!(in_csv("requests"), [stats.requests()]);
+        for k in StrategyKind::ALL {
+            let block = json.get("strategies").and_then(|s| s.get(k.json_key()));
+            for (name, value) in stats.strategies[k.index()].counters() {
+                assert_eq!(block.and_then(|b| b.get(name)), Some(&Json::Int(value)));
+                let row = format!("strategy_{}_{name}", k.json_key());
+                assert_eq!(in_csv(&row), [value], "{row}");
+            }
+        }
+
+        // Nothing else: every other JSON key is a strategy block, the
+        // derived request count, or the thread-independence marker.
+        let Json::Obj(fields) = &json else {
+            panic!("engine JSON is an object")
+        };
+        for (key, _) in fields {
+            let explained = ["strategies", "requests", "threads_independent"];
+            assert!(
+                names.contains(key.as_str()) || explained.contains(&key.as_str()),
+                "unexplained key {key}"
+            );
+        }
+        let per_strategy = crate::StrategyStats::default().counters().len();
+        let strategy_rows = per_strategy * StrategyKind::ALL.len();
+        assert_eq!(csv_rows.len(), counters.len() + strategy_rows + 1);
     }
 
     #[test]

@@ -290,7 +290,7 @@ fn robust_allocate(
     escalate(
         budget,
         |opts| {
-            engine.count_allocs(1);
+            engine.bump(|c| c.allocs_run += 1);
             allocate_with(kernel, &ctx, opts)
         },
         None,
@@ -355,7 +355,7 @@ pub(crate) fn allocate_degraded(
         escalate(
             budget,
             |opts| {
-                engine.count_allocs(1);
+                engine.bump(|c| c.allocs_run += 1);
                 allocate_linear_scan_with(kernel, &ctx, opts)
             },
             None,
@@ -378,7 +378,8 @@ impl ContextSource for StrategyCtxSource<'_> {
     fn context(&self, kernel: &Kernel) -> Arc<AllocContext> {
         let (ctx, hit) = self.engine.alloc_context_tracked(kernel);
         if hit {
-            self.engine.count_strategy_ctx_reuse(self.kind);
+            self.engine
+                .bump(|c| c.strategies[self.kind.index()].ctx_reuse += 1);
         }
         ctx
     }
@@ -407,7 +408,7 @@ fn run_strategy(
     escalate(
         budget,
         |opts| {
-            engine.count_allocs(1);
+            engine.bump(|c| c.allocs_run += 1);
             strategy(kind).allocate(kernel, &ctxs, opts)
         },
         shm,
@@ -556,7 +557,7 @@ pub fn optimize_with(
         let mut best: Option<Candidate> = None;
         let mut primary_err: Option<AllocError> = None;
         for &kind in opts.roster.strategies() {
-            engine.count_strategy_attempt(kind);
+            engine.bump(|c| c.strategies[kind.index()].attempts += 1);
             let result = if strategy_fault_injected(kind) {
                 Err(AllocError::IterationLimit)
             } else {
@@ -591,7 +592,7 @@ pub fn optimize_with(
                 // Try linear scan before skipping the point; if it
                 // also fails, propagate the primary (first) error.
                 let primary = primary_err.unwrap_or(AllocError::IterationLimit);
-                engine.count_strategy_attempt(AllocStrategy::LinearScan);
+                engine.bump(|c| c.strategies[AllocStrategy::LinearScan.index()].attempts += 1);
                 let (allocation, _) =
                     run_strategy(engine, kernel, AllocStrategy::LinearScan, point.reg, shm)
                         .map_err(|_| primary)?;
@@ -607,7 +608,6 @@ pub fn optimize_with(
         };
         let spill_bytes = u64::from(cand.allocation.spills.local_bytes_per_thread)
             + u64::from(cand.allocation.spills.shared_spill_bytes_per_block);
-        engine.count_strategy_win(cand.strategy, spill_bytes);
         let (wi, pt) = cand
             .allocation
             .spills
@@ -618,7 +618,13 @@ pub fn optimize_with(
                 crat_regalloc::SpillLayout::WarpInterleaved => (wi + 1, pt),
                 crat_regalloc::SpillLayout::PerThread => (wi, pt + 1),
             });
-        engine.count_shm_layouts(wi, pt);
+        engine.bump(|c| {
+            let won = &mut c.strategies[cand.strategy.index()];
+            won.wins += 1;
+            won.spill_bytes += spill_bytes;
+            c.shm_warp_interleaved += wi;
+            c.shm_per_thread += pt;
+        });
         Ok(cand)
     });
 

@@ -51,8 +51,8 @@
 //!
 //! # Concurrency
 //!
-//! The read path is lock-free (atomic renames + checksums make stale
-//! or vanished files indistinguishable from misses). Writers of the
+//! The read path takes no file lock (atomic renames + checksums make
+//! stale or vanished files indistinguishable from misses). Writers of the
 //! same key race benignly: the payload is deterministic, so last
 //! rename wins with identical bytes. Only maintenance (the eviction
 //! sweep) takes the advisory `.lock` file — acquired with
@@ -83,10 +83,12 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, SystemTime};
 
 use crat_sim::SimStats;
 
+use crate::engine::lock;
 use crate::CratError;
 
 /// The 128-bit content address of one record: the engine's two
@@ -443,12 +445,8 @@ pub struct ResultStore {
     approx_bytes: AtomicU64,
     /// Temp-file uniquifier within this process.
     tmp_seq: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    writes: AtomicU64,
-    evictions: AtomicU64,
-    quarantined: AtomicU64,
-    write_errors: AtomicU64,
+    /// Held only to bump or copy.
+    counters: Mutex<StoreStats>,
 }
 
 impl ResultStore {
@@ -468,12 +466,7 @@ impl ResultStore {
             byte_limit: config.byte_limit,
             approx_bytes: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
+            counters: Mutex::default(),
         };
         if store.byte_limit.is_some() {
             let total = store.entries().iter().map(|e| e.2).sum();
@@ -495,45 +488,37 @@ impl ResultStore {
 
     /// A snapshot of the counters.
     pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
-        }
+        *lock(&self.counters)
     }
 
     /// Zero the counters (records on disk are untouched).
     pub fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.quarantined.store(0, Ordering::Relaxed);
-        self.write_errors.store(0, Ordering::Relaxed);
+        *lock(&self.counters) = StoreStats::default();
+    }
+
+    fn bump(&self, f: impl FnOnce(&mut StoreStats)) {
+        f(&mut lock(&self.counters));
     }
 
     fn record_path(&self, key: RecordKey) -> PathBuf {
         self.dir.join(key.shard()).join(key.file_name())
     }
 
-    /// Look up a record. Lock-free: a missing, unreadable, or invalid
-    /// record is a miss (invalid ones are quarantined first), and the
-    /// caller recomputes.
+    /// Look up a record. Takes no file lock: a missing, unreadable, or
+    /// invalid record is a miss (invalid ones are quarantined first),
+    /// and the caller recomputes.
     pub fn load(&self, key: RecordKey) -> Option<Result<SimStats, CratError>> {
         let path = self.record_path(key);
         let bytes = match fs::read(&path) {
             Ok(bytes) => bytes,
             Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.bump(|c| c.misses += 1);
                 return None;
             }
         };
         match codec::decode_record(&bytes) {
             Ok(result) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.bump(|c| c.hits += 1);
                 if self.byte_limit.is_some() {
                     // LRU touch (best effort): refresh the mtime so
                     // the eviction sweep sees this record as recent.
@@ -546,7 +531,7 @@ impl ResultStore {
             }
             Err(_) => {
                 self.quarantine(&path);
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.bump(|c| c.misses += 1);
                 None
             }
         }
@@ -561,14 +546,12 @@ impl ResultStore {
         };
         match self.write_atomic(key, &record) {
             Ok(()) => {
-                self.writes.fetch_add(1, Ordering::Relaxed);
+                self.bump(|c| c.writes += 1);
                 self.approx_bytes
                     .fetch_add(record.len() as u64, Ordering::Relaxed);
                 self.enforce_limit();
             }
-            Err(_) => {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) => self.bump(|c| c.write_errors += 1),
         }
     }
 
@@ -620,7 +603,7 @@ impl ResultStore {
         if moved.is_err() {
             let _ = fs::remove_file(path);
         }
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| c.quarantined += 1);
     }
 
     /// Number of records currently on disk (test/diagnostic helper;
@@ -687,7 +670,7 @@ impl ResultStore {
             }
             if fs::remove_file(&path).is_ok() {
                 total = total.saturating_sub(len);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.bump(|c| c.evictions += 1);
             }
         }
         self.approx_bytes.store(total, Ordering::Relaxed);

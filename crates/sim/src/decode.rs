@@ -186,8 +186,7 @@ pub enum DOp {
 
 /// Execution class of a decoded instruction, assigned at decode time
 /// so the issue path dispatches on one tag instead of re-probing the
-/// operation shape, and so consecutive same-class instructions can be
-/// grouped into superblocks.
+/// operation shape.
 ///
 /// The class determines which execution path runs the instruction:
 /// [`OpClass::Alu`] work is lane-uniform and executes through the
@@ -208,39 +207,6 @@ pub enum OpClass {
     Mem = 2,
     /// Block-wide barrier.
     Bar = 3,
-    /// Control transfer (terminators; never appears on a
-    /// [`DecodedInst`]).
-    Ctl = 4,
-}
-
-/// Number of [`OpClass`] variants.
-pub const NUM_OP_CLASSES: usize = 5;
-
-impl OpClass {
-    /// All classes, in counter order.
-    pub const ALL: [OpClass; NUM_OP_CLASSES] = [
-        OpClass::Alu,
-        OpClass::Sfu,
-        OpClass::Mem,
-        OpClass::Bar,
-        OpClass::Ctl,
-    ];
-
-    /// Stable snake_case name, used in CSV and probe breakdowns.
-    pub fn name(self) -> &'static str {
-        match self {
-            OpClass::Alu => "alu",
-            OpClass::Sfu => "sfu",
-            OpClass::Mem => "mem",
-            OpClass::Bar => "bar",
-            OpClass::Ctl => "ctl",
-        }
-    }
-
-    /// The class with counter index `i`, if in range.
-    pub fn from_index(i: usize) -> Option<OpClass> {
-        OpClass::ALL.get(i).copied()
-    }
 }
 
 /// A decoded instruction: the operation plus everything the issue path
@@ -262,12 +228,8 @@ pub struct DecodedInst {
     pub nuses: u8,
     /// Whether the instruction executes on the special function unit.
     pub sfu: bool,
-    /// Execution class (vector dispatch and superblock grouping).
+    /// Execution class (vector dispatch).
     pub class: OpClass,
-    /// Whether this instruction opens a new superblock: the first
-    /// instruction of a maximal run of consecutive same-class
-    /// instructions within its block (computed at decode time).
-    pub sb_head: bool,
     /// Scoreboard footprint: bitmask over registers `< 64` of every
     /// read ([`DecodedInst::uses`], guard and address bases included)
     /// plus the define (WAW). `u64::MAX` when any footprint register
@@ -351,8 +313,6 @@ pub struct DecodedKernel {
     shared_frame_bytes: u32,
     /// Laid-out per-thread `.local` frame size.
     local_frame_bytes: u32,
-    /// Static superblock count (number of `sb_head` instructions).
-    num_superblocks: usize,
 }
 
 impl DecodedKernel {
@@ -395,12 +355,6 @@ impl DecodedKernel {
     pub fn num_insts(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len()).sum()
     }
-
-    /// Static superblock count: maximal runs of consecutive same-class
-    /// instructions within a block (terminators excluded).
-    pub fn num_superblocks(&self) -> usize {
-        self.num_superblocks
-    }
 }
 
 /// Validate `kernel` and lower it to a [`DecodedKernel`].
@@ -425,26 +379,15 @@ pub fn decode(kernel: &Kernel) -> Result<DecodedKernel, SimError> {
         }
     };
 
-    let mut num_superblocks = 0usize;
     let blocks = kernel
         .blocks()
         .iter()
         .map(|b| {
-            let mut insts: Vec<DecodedInst> = b
+            let insts: Vec<DecodedInst> = b
                 .insts
                 .iter()
                 .map(|inst| decode_inst(kernel, inst, &var_offset))
                 .collect();
-            // Superblock tagging: mark the head of every maximal run
-            // of consecutive same-class instructions, so the issue
-            // path can count dispatch-group turnover without comparing
-            // classes at run time.
-            let mut prev: Option<OpClass> = None;
-            for di in &mut insts {
-                di.sb_head = prev != Some(di.class);
-                num_superblocks += usize::from(di.sb_head);
-                prev = Some(di.class);
-            }
             let term = match &b.terminator {
                 Terminator::Bra(t) => DTerm::Bra(t.0),
                 Terminator::CondBra {
@@ -473,7 +416,6 @@ pub fn decode(kernel: &Kernel) -> Result<DecodedKernel, SimError> {
         shared_decl_bytes: kernel.shared_bytes(),
         shared_frame_bytes,
         local_frame_bytes,
-        num_superblocks,
     })
 }
 
@@ -668,8 +610,6 @@ fn decode_inst(
         nuses: use_regs.len() as u8,
         sfu,
         class,
-        // Recomputed by the per-block superblock pass in `decode`.
-        sb_head: false,
         use_def_mask,
         dst_alias,
     }
@@ -767,7 +707,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_tags_classes_and_superblock_heads() {
+    fn decode_tags_classes() {
         let mut b = KernelBuilder::new("k");
         let out = b.param_ptr("out");
         let tid = b.special_tid_x(Type::U32);
@@ -793,21 +733,6 @@ mod tests {
         }
         assert!(insts.iter().any(|i| i.class == OpClass::Sfu));
         assert!(insts.iter().any(|i| i.class == OpClass::Mem));
-
-        // Superblock heads open maximal same-class runs, and the
-        // recorded total matches a recount.
-        assert!(insts[0].sb_head);
-        let mut recount = 0usize;
-        for b in dk.blocks() {
-            let mut prev = None;
-            for i in &b.insts {
-                assert_eq!(i.sb_head, prev != Some(i.class));
-                recount += usize::from(i.sb_head);
-                prev = Some(i.class);
-            }
-        }
-        assert_eq!(dk.num_superblocks(), recount);
-        assert!(dk.num_superblocks() >= 4, "alu|sfu|alu|mem runs expected");
     }
 
     #[test]
@@ -830,17 +755,6 @@ mod tests {
         let tail = insts.last().unwrap();
         assert_eq!(tail.class, OpClass::Alu);
         assert_eq!(tail.use_def_mask, u64::MAX, "vreg >= 64 must widen");
-    }
-
-    #[test]
-    fn op_class_names_and_indices_round_trip() {
-        for (i, c) in OpClass::ALL.iter().enumerate() {
-            assert_eq!(*c as usize, i);
-            assert_eq!(OpClass::from_index(i), Some(*c));
-        }
-        assert_eq!(OpClass::from_index(NUM_OP_CLASSES), None);
-        let names: std::collections::HashSet<_> = OpClass::ALL.iter().map(|c| c.name()).collect();
-        assert_eq!(names.len(), NUM_OP_CLASSES);
     }
 
     #[test]

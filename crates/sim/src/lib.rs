@@ -65,7 +65,7 @@ pub use config::{
     CacheConfig, GpuConfig, LatencyConfig, LaunchConfig, SchedulerKind, ShmBankConfig,
     TWO_LEVEL_GROUP,
 };
-pub use decode::{decode, DecodedKernel, OpClass, NUM_OP_CLASSES};
+pub use decode::{decode, DecodedKernel, OpClass};
 pub use energy::{estimate_energy, EnergyCoefficients, EnergyReport};
 pub use error::SimError;
 pub use machine::{simulate, simulate_capture, simulate_decoded, Lanes};
@@ -73,4 +73,4 @@ pub use memory::{shm_conflict_degree, MemorySystem};
 pub use occupancy::{
     check_launch, max_regs_for_tlp, occupancy, resident_blocks, LimitingResource, Occupancy,
 };
-pub use stats::{CycleAttribution, SimStats, StallCause, VectorStats, NUM_CAUSES};
+pub use stats::{CycleAttribution, SimStats, StallCause, NUM_CAUSES};

@@ -19,9 +19,7 @@
 //! chunked autovectorization-friendly loops, and a masked blend
 //! commits only the active lanes. Lane-divergent work (gather/scatter
 //! memory accesses, SFU transcendentals) keeps a scalar per-lane
-//! fallback. [`VectorStats`] counts both paths plus superblock
-//! (same-class run) turnover; it lives outside [`SimStats`] so the
-//! bit-identity contract with the reference interpreter is untouched.
+//! fallback.
 //!
 //! A cycle in which no scheduler issues fast-forwards: the machine
 //! state is frozen until the next write-back or bank busy-window
@@ -48,7 +46,7 @@ use crate::error::SimError;
 use crate::gmem::GlobalMem;
 use crate::memory::MemorySystem;
 use crate::occupancy::{check_launch, occupancy, resident_blocks};
-use crate::stats::{SimStats, StallCause, VectorStats};
+use crate::stats::{SimStats, StallCause};
 use crate::vexec;
 use crat_ptx::eval as interp;
 
@@ -88,7 +86,7 @@ pub fn simulate(
     tlp_cap: Option<u32>,
 ) -> Result<SimStats, SimError> {
     let dk = decode(kernel)?;
-    simulate_decoded(&dk, cfg, launch, regs_per_thread, tlp_cap, None).map(|(s, _)| s)
+    simulate_decoded(&dk, cfg, launch, regs_per_thread, tlp_cap, None)
 }
 
 /// Like [`simulate`], additionally returning the final global-memory
@@ -121,12 +119,6 @@ pub fn simulate_capture(
 /// the cancellation hook behind the evaluation engine's per-job
 /// budgets. With `None` the checks are skipped, not merely disarmed.
 ///
-/// Also returns the [`VectorStats`] execution-path counters
-/// (vectorized vs scalar-fallback instructions, superblocks,
-/// per-class issue counts). They live outside [`SimStats`] so stats
-/// pinned bit-identically against the reference interpreter are
-/// unaffected.
-///
 /// # Errors
 ///
 /// Same as [`simulate`] (except invalid kernels are rejected by
@@ -138,9 +130,8 @@ pub fn simulate_decoded(
     regs_per_thread: u32,
     tlp_cap: Option<u32>,
     deadline: Option<Instant>,
-) -> Result<(SimStats, VectorStats), SimError> {
-    let m = run_machine(dk, cfg, launch, regs_per_thread, tlp_cap, deadline)?;
-    Ok((m.stats, m.vstats))
+) -> Result<SimStats, SimError> {
+    Ok(run_machine(dk, cfg, launch, regs_per_thread, tlp_cap, deadline)?.stats)
 }
 
 /// Validate the launch, fill the SM with its resident blocks, and run
@@ -416,8 +407,6 @@ struct Machine<'a> {
     /// Iterations until the next deadline check.
     deadline_countdown: u32,
     stats: SimStats,
-    /// Vector/scalar execution-path counters (outside [`SimStats`]).
-    vstats: VectorStats,
     /// Reusable operand/result rows for the vector execute path.
     /// Allocated once: fresh stack rows would cost a 1 KiB zero-fill
     /// per instruction, and every consumer fully overwrites the rows
@@ -496,7 +485,6 @@ impl<'a> Machine<'a> {
                 stats.attribution.init_schedulers(cfg.num_schedulers);
                 stats
             },
-            vstats: VectorStats::default(),
             exec_rows: ExecRows::default(),
         }
     }
@@ -813,9 +801,9 @@ impl<'a> Machine<'a> {
         // Greedy fast path (GTO only): under GTO keys the remembered
         // current warp compares strictly below every other candidate
         // whenever it is schedulable, so try it before building and
-        // sorting the candidate list — mid-superblock this issues
-        // straight through with no per-cycle scan. Issued/MemStall
-        // outcomes are bit-identical to the full path (same warp, same
+        // sorting the candidate list — while that warp keeps issuing,
+        // no cycle pays a scan. Issued/MemStall outcomes are
+        // bit-identical to the full path (same warp, same
         // bookkeeping); when the warp is scoreboard-blocked, fall
         // through and rebuild the list, which retries it harmlessly
         // (`try_issue` is idempotent for blocked warps: reconvergence
@@ -1160,7 +1148,6 @@ impl<'a> Machine<'a> {
 
     fn issue_terminator(&mut self, i: usize, term: DTerm) -> Result<(), SimError> {
         self.stats.warp_insts += 1;
-        self.vstats.count_issue(OpClass::Ctl, false);
 
         let w = self.warps[i].as_mut().expect("warp exists");
         let frame = *w.frame();
@@ -1338,7 +1325,6 @@ impl<'a> Machine<'a> {
             },
             OpClass::Sfu => self.exec_sfu(i, inst),
             OpClass::Bar => self.exec_bar(i, inst),
-            OpClass::Ctl => unreachable!("terminators are not decoded instructions"),
         }
     }
 
@@ -1351,7 +1337,6 @@ impl<'a> Machine<'a> {
     /// replaces either way.
     fn exec_alu(&mut self, i: usize, inst: &DecodedInst) -> Result<IssueOutcome, SimError> {
         self.stats.warp_insts += 1;
-        self.vstats.count_issue(OpClass::Alu, inst.sb_head);
         let warp_size = self.cfg.warp_size;
         let block_size = self.launch.block_size;
         let grid_blocks = self.launch.grid_blocks;
@@ -1494,7 +1479,6 @@ impl<'a> Machine<'a> {
     /// division does not vectorize) at SFU latency.
     fn exec_sfu(&mut self, i: usize, inst: &DecodedInst) -> Result<IssueOutcome, SimError> {
         self.stats.warp_insts += 1;
-        self.vstats.count_issue(OpClass::Sfu, inst.sb_head);
         let w = self.warps[i].as_mut().expect("warp exists");
         let mask = active_mask(w, inst);
         self.stats.thread_insts += u64::from(mask.count_ones());
@@ -1530,7 +1514,6 @@ impl<'a> Machine<'a> {
     /// Block-wide barrier.
     fn exec_bar(&mut self, i: usize, inst: &DecodedInst) -> Result<IssueOutcome, SimError> {
         self.stats.warp_insts += 1;
-        self.vstats.count_issue(OpClass::Bar, inst.sb_head);
         let w = self.warps[i].as_mut().expect("warp exists");
         let mask = active_mask(w, inst);
         self.stats.thread_insts += u64::from(mask.count_ones());
@@ -1675,7 +1658,6 @@ impl<'a> Machine<'a> {
 
         self.stats.warp_insts += 1;
         self.stats.thread_insts += nactive;
-        self.vstats.count_issue(OpClass::Mem, inst.sb_head);
         let generation = {
             let w = self.warps[i].as_mut().expect("warp exists");
             vexec::blend(&mut w.regs[dst as usize], &values, mask);
@@ -1792,7 +1774,6 @@ impl<'a> Machine<'a> {
 
         self.stats.warp_insts += 1;
         self.stats.thread_insts += nactive;
-        self.vstats.count_issue(OpClass::Mem, inst.sb_head);
         let w = self.warps[i].as_mut().expect("warp exists");
         w.frame_mut().pc_idx += 1;
         Ok(IssueOutcome::Issued)

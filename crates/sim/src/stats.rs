@@ -1,63 +1,5 @@
 //! Simulation statistics and the scheduler-slot cycle attribution.
 
-use crate::decode::{OpClass, NUM_OP_CLASSES};
-
-/// Vector-execution counters for the decoded SIMD path, kept separate
-/// from [`SimStats`] so the architectural stats stay bit-identical to
-/// the scalar reference interpreter (which never produces these).
-/// Returned by [`crate::simulate_decoded`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VectorStats {
-    /// Warp instructions executed through the whole-row vector kernels.
-    pub vector_insts: u64,
-    /// Warp instructions that took the scalar per-lane fallback
-    /// (SFU transcendentals / div / rem, and gather-scatter memory).
-    pub scalar_insts: u64,
-    /// Superblocks dispatched: maximal runs of consecutive same-class
-    /// decoded instructions, counted at their head on successful issue.
-    pub superblocks: u64,
-    /// Issued warp instructions by [`OpClass`], indexed by `class as
-    /// usize` (terminators land in `Ctl`).
-    pub class_insts: [u64; NUM_OP_CLASSES],
-}
-
-impl VectorStats {
-    /// Record one successfully issued instruction of `class`;
-    /// `sb_head` marks the first instruction of a superblock.
-    #[inline]
-    pub fn count_issue(&mut self, class: OpClass, sb_head: bool) {
-        self.class_insts[class as usize] += 1;
-        self.superblocks += u64::from(sb_head);
-        match class {
-            OpClass::Alu => self.vector_insts += 1,
-            OpClass::Sfu | OpClass::Mem => self.scalar_insts += 1,
-            // Barriers and control flow are warp-level operations with
-            // no lane loop to vectorize.
-            OpClass::Bar | OpClass::Ctl => {}
-        }
-    }
-
-    /// Fraction of lane-looping instructions that ran vector-wide
-    /// (1.0 when nothing fell back to the scalar path).
-    pub fn vector_fraction(&self) -> f64 {
-        let denom = self.vector_insts + self.scalar_insts;
-        if denom == 0 {
-            return 1.0;
-        }
-        self.vector_insts as f64 / denom as f64
-    }
-
-    /// Fold another run's counters into this one.
-    pub fn merge(&mut self, other: &VectorStats) {
-        self.vector_insts += other.vector_insts;
-        self.scalar_insts += other.scalar_insts;
-        self.superblocks += other.superblocks;
-        for (a, b) in self.class_insts.iter_mut().zip(other.class_insts.iter()) {
-            *a += b;
-        }
-    }
-}
-
 /// Exclusive cause of one scheduler-slot cycle: what each scheduler
 /// did (or why it did nothing) in one cycle. Every `(scheduler, cycle)`
 /// slot is attributed to exactly one cause, so for every scheduler the

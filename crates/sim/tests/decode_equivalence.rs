@@ -565,7 +565,7 @@ fn deadline_fires_promptly_under_large_fast_forward_jumps() {
         .with_param("inp", 0x10_0000)
         .with_param("out", 0x20_0000);
     let dk = crat_sim::decode(&k).unwrap();
-    let (full, _) = crat_sim::simulate_decoded(&dk, &cfg, &launch, 24, Some(1), None).unwrap();
+    let full = crat_sim::simulate_decoded(&dk, &cfg, &launch, 24, Some(1), None).unwrap();
     assert!(
         full.cycles > 20_000,
         "kernel too short ({} cycles) to exercise large jumps",

@@ -3,7 +3,8 @@
 //! Two deliberately extreme kernels that isolate the simulator's
 //! *scheduling* cost from its memory and functional modeling, so the
 //! per-decision overhead of the cycle loop is measurable on its own
-//! (`benches/sched_overhead.rs` and the probe's `--micro` mode):
+//! (the throughput probe's `--micro` mode; `tests/decode_differential.rs`
+//! holds both bit-identical to the reference interpreter):
 //!
 //! * [`empty_alu_kernel`] — a counted loop whose body is straight-line
 //!   independent ALU. Launched as a single 32-thread block with a TLP

@@ -1,12 +1,9 @@
-//! Simulator-throughput probe with a per-op-class breakdown.
+//! Simulator-throughput probe.
 //!
 //! Runs a workload mix through the warm (pre-decoded) path, the
 //! reference interpreter ([`crat_sim::reference`]) and the cold
 //! (decode-per-call) path, and prints per-app and aggregate
-//! `instr/sec` / `cycles/sec`, the decoded/reference speedup, plus the
-//! vector-execution profile of the warm path (issued instructions by
-//! op class, vector vs scalar-fallback counts, superblocks) so
-//! vectorization wins are attributable to the op mix.
+//! `instr/sec` / `cycles/sec` and the decoded/reference speedup.
 //!
 //! Usage:
 //!
@@ -14,8 +11,8 @@
 //! sim_throughput_probe [MIX_CSV] [REPS] [GRID_BLOCKS] [--min-speedup X] [--micro]
 //! ```
 //!
-//! Defaults reproduce the `BENCH_sim_throughput.json` configuration
-//! (`CFD,KMN,BAK,STE,FDTD,SRAD`, 3 reps, 30 blocks). The warm and
+//! Defaults reproduce the configuration of the EXPERIMENTS.md
+//! throughput history (`CFD,KMN,BAK,STE,FDTD,SRAD`, 3 reps, 30 blocks). The warm and
 //! reference paths are timed rep by rep on the same app, so machine
 //! load and clock drift hit both alike and their ratio holds on any
 //! machine. With `--min-speedup`, the probe exits non-zero if the
@@ -29,9 +26,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use crat_sim::{
-    decode, reference, simulate, simulate_decoded, GpuConfig, LaunchConfig, OpClass, VectorStats,
-};
+use crat_sim::{decode, reference, simulate, simulate_decoded, GpuConfig, LaunchConfig};
 use crat_workloads::{build_kernel, launch_sized, micro, suite};
 
 const DEFAULT_MIX: &str = "CFD,KMN,BAK,STE,FDTD,SRAD";
@@ -123,7 +118,7 @@ fn run_micro(label: &str, kernel: &crat_ptx::Kernel, launch: &LaunchConfig, tlp:
     let start = Instant::now();
     let (mut cycles, mut insts) = (0u64, 0u64);
     for _ in 0..reps {
-        let (s, _) = simulate_decoded(&dk, &gpu, launch, REGS_PER_THREAD, tlp, None).unwrap();
+        let s = simulate_decoded(&dk, &gpu, launch, REGS_PER_THREAD, tlp, None).unwrap();
         cycles += s.cycles;
         insts += s.warp_insts;
     }
@@ -134,27 +129,6 @@ fn run_micro(label: &str, kernel: &crat_ptx::Kernel, launch: &LaunchConfig, tlp:
         cycles as f64 / secs,
         insts as f64 / cycles.max(1) as f64,
     );
-}
-
-fn class_line(v: &VectorStats) -> String {
-    let total: u64 = v.class_insts.iter().sum();
-    let mut s = String::new();
-    for c in OpClass::ALL {
-        let n = v.class_insts[c as usize];
-        let pct = if total == 0 {
-            0.0
-        } else {
-            100.0 * n as f64 / total as f64
-        };
-        s.push_str(&format!("{}:{pct:.1}% ", c.name()));
-    }
-    s.push_str(&format!(
-        "| vec {:.1}% scalar-fallback {} superblocks {}",
-        100.0 * v.vector_fraction(),
-        v.scalar_insts,
-        v.superblocks
-    ));
-    s
 }
 
 fn main() -> ExitCode {
@@ -206,41 +180,35 @@ fn main() -> ExitCode {
     // the ratio of their times.
     let (mut agg_cycles, mut agg_insts) = (0u64, 0u64);
     let (mut agg_secs, mut agg_ref_secs) = (0.0f64, 0.0f64);
-    let mut agg_v = VectorStats::default();
     for ((abbr, k, l), dk) in work.iter().zip(&decoded) {
         let (mut secs, mut ref_secs) = (0.0f64, 0.0f64);
         let (mut cycles, mut insts) = (0u64, 0u64);
-        let mut vstats = VectorStats::default();
         for _ in 0..args.reps {
             let start = Instant::now();
-            let (s, v) = simulate_decoded(dk, &gpu, l, REGS_PER_THREAD, None, None).unwrap();
+            let s = simulate_decoded(dk, &gpu, l, REGS_PER_THREAD, None, None).unwrap();
             secs += start.elapsed().as_secs_f64();
             let start = Instant::now();
             reference::simulate(k, &gpu, l, REGS_PER_THREAD, None).unwrap();
             ref_secs += start.elapsed().as_secs_f64();
             cycles += s.cycles;
             insts += s.warp_insts;
-            vstats.merge(&v);
         }
         println!(
-            "{abbr:<6} instr/sec {:.3e}  cycles/sec {:.3e}  ipc {:.2}  vs-ref {:.2}x  {}",
+            "{abbr:<6} instr/sec {:.3e}  cycles/sec {:.3e}  ipc {:.2}  vs-ref {:.2}x",
             insts as f64 / secs,
             cycles as f64 / secs,
             insts as f64 / cycles.max(1) as f64,
             ref_secs / secs,
-            class_line(&vstats)
         );
         agg_cycles += cycles;
         agg_insts += insts;
         agg_secs += secs;
         agg_ref_secs += ref_secs;
-        agg_v.merge(&vstats);
     }
     println!(
-        "warm   instr/sec {:.3e}  cycles/sec {:.3e}  {}",
+        "warm   instr/sec {:.3e}  cycles/sec {:.3e}",
         agg_insts as f64 / agg_secs,
         agg_cycles as f64 / agg_secs,
-        class_line(&agg_v)
     );
     let speedup = agg_ref_secs / agg_secs;
     println!(

@@ -23,54 +23,49 @@ echo "== cargo clippy --workspace -- -D warnings"
 # non-test code (DESIGN.md §7), so a stray unwrap fails this step.
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Every package's unit and integration tests, not only the root
-# package's: crat-sim's decoded-vs-reference equivalence tier, the
-# crat-sim/crat-core unit tests, and the allocator property suites
-# live in member crates.
+# One run of every package's unit and integration tests, not only the
+# root package's. Each target runs once, here; the tiers it holds:
+# - Member-crate tiers: crat-sim's decoded-vs-reference equivalence
+#   tier, the crat-sim/crat-core unit tests, and the allocator
+#   property suites.
+# - Fault-injection tier (crat-core `fault_injection`, crat-ptx
+#   `parser_fuzz`): 200+ deterministic seeded scenarios (mutated PTX,
+#   adversarial launches, starved allocator budgets, injected worker
+#   panics, expired budgets); a panic or hang anywhere in the pipeline
+#   fails here.
+# - Bank-model tier (`bank_differential`, crat-regalloc
+#   `knapsack_props`): the shared-memory bank-conflict model must be
+#   invisible when disabled (bit-identical to the reference interpreter
+#   across the whole suite) and conservative when enabled (matches the
+#   reference across schedulers and spill layouts, attribution sums to
+#   cycles, serialization only adds cycles); the knapsack property
+#   suite checks the layout-aware §5.3 solver against a brute-force
+#   oracle.
+# - Persistent-store tier (crat-core `store_faults` and
+#   `store_codec_props`, `store_warm_restart`, `store_cross_process`):
+#   seeded torn writes, truncations, bit flips, stale versions and
+#   injected ENOSPC (every damaged record quarantined and recomputed
+#   bit-identically), the record-codec properties, the 24-app
+#   warm-restart differential, and the real-subprocess cache-sharing
+#   test.
+# - Golden-baseline gate (`golden_suite`): a snapshot run is only a
+#   gate when nothing can rewrite the snapshots, which the CRAT_BLESS
+#   refusal at the top of this script guarantees. Regenerate
+#   intentional drift with
+#     CRAT_BLESS=1 cargo test --test golden_suite
+#   and commit the updated tests/golden/*.json.
+# The build comes first so that the bound covers the run alone:
+# `timeout` turns a wedged test (e.g. a store lock-retry loop gone
+# wrong) into a loud failure. The run takes ~2 min with warm builds on
+# a 2-core box; the bound is 5x that.
 echo "== cargo test -q --workspace"
-cargo test -q --workspace
+cargo test -q --workspace --no-run
+timeout 600 cargo test -q --workspace
 
-# Fault-injection smoke tier: 200+ deterministic seeded scenarios
-# (mutated PTX, adversarial launches, starved allocator budgets,
-# injected worker panics, expired budgets). Fixed seeds, bounded
-# wall clock; a panic or hang anywhere in the pipeline fails here.
-echo "== fault-injection harness"
-cargo test -q -p crat-core --test fault_injection
-cargo test -q -p crat-ptx --test parser_fuzz
-
-# Bank-model tier: the shared-memory bank-conflict model must be
-# invisible when disabled (bit-identical to the reference interpreter
-# across the whole suite) and conservative when enabled (matches the
-# reference across schedulers and spill layouts, attribution sums to
-# cycles, serialization only adds cycles). The knapsack property suite
-# checks the layout-aware §5.3 solver against a brute-force oracle,
-# and the probe exercises the end-to-end pipeline on the bank-study
-# apps under every layout policy.
-echo "== bank-model tier (layout differential + knapsack properties)"
-cargo test -q --test bank_differential
-cargo test -q -p crat-regalloc --test knapsack_props
+# The bank-layout probe exercises the end-to-end pipeline on the
+# bank-study apps under every layout policy.
+echo "== bank-layout probe"
 cargo run -q --release --example bank_layout_probe > /dev/null
-
-# Persistent-store tier: the disk-fault-injection harness (seeded
-# torn writes, truncations, bit flips, stale versions, injected
-# ENOSPC — every damaged record quarantined and recomputed
-# bit-identically), the record-codec property suite, the 24-app
-# warm-restart differential, and the real-subprocess cache-sharing
-# test. Deterministic and bounded; `timeout` turns a wedged store
-# (e.g. a lock-retry loop gone wrong) into a loud failure.
-echo "== persistent-store tier (disk faults + warm restart)"
-timeout 300 cargo test -q -p crat-core --test store_faults
-timeout 120 cargo test -q -p crat-core --test store_codec_props
-timeout 300 cargo test -q --test store_warm_restart
-timeout 300 cargo test -q --test store_cross_process
-
-# Golden-baseline gate: a snapshot run is only a gate when nothing
-# can rewrite the snapshots — the CRAT_BLESS refusal at the top of
-# this script guarantees that here. Regenerate intentional drift with
-#   CRAT_BLESS=1 cargo test --test golden_suite
-# and commit the updated tests/golden/*.json.
-echo "== golden suite (snapshot drift gate)"
-cargo test -q --test golden_suite
 
 # Benchmark tier: `benchmark/` is a Cargo workspace of its own, so
 # `cargo test --workspace` above skips its unit tests, and nothing else
@@ -98,16 +93,6 @@ done
 echo "== cargo bench --no-run"
 cargo bench --workspace --no-run
 
-echo "== sim throughput smoke test"
-cargo bench -p crat-bench --bench sim_throughput
-
-# Scheduler-overhead smoke tier: the two microkernels that isolate
-# per-instruction issue cost (empty-ALU, one warp) and dead-cycle
-# skipping (stall-heavy, idle fast-forward). Recorded numbers live in
-# BENCH_sim_throughput.json.
-echo "== scheduler-overhead microbench smoke test"
-cargo bench -p crat-bench --bench sched_overhead
-
 # Throughput tier: the decoded path must stay well ahead of the
 # reference interpreter (crat_sim::reference) on the probe mix. Both
 # are timed in this run, rep by rep on the same app, so the ratio
@@ -115,7 +100,8 @@ cargo bench -p crat-bench --bench sched_overhead
 # the original one (see the EXPERIMENTS.md throughput history). The
 # 3.0x bound leaves headroom for noise; a fall back to scalar-era
 # rates (2.18x) fails loudly.
-# `--micro` also prints the microkernel numbers for the log.
+# `--micro` also prints the scheduler-overhead microkernel numbers
+# (empty-ALU issue cost, stall-heavy fast-forward) for the log.
 echo "== sim-throughput smoke test (decoded/reference speedup)"
 cargo run -q --release --example sim_throughput_probe -- --micro --min-speedup 3.0
 
