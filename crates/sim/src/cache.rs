@@ -6,8 +6,12 @@
 //! failure*, which the SM reports as a pipeline stall (the congestion
 //! the paper measures in Figure 5b and that thread throttling
 //! relieves).
-
-use std::collections::HashMap;
+//!
+//! Every access first retires the fills that are due, so the MSHR
+//! table is on the path of every memory transaction. It is a short
+//! vector (at most `mshrs` entries: 32 for the stock L1, 64 for the
+//! L2) behind a watermark, the earliest pending fill: an access before
+//! the watermark retires nothing and costs one compare.
 
 use crate::config::CacheConfig;
 
@@ -18,6 +22,50 @@ struct Line {
     last_used: u64,
     dirty: bool,
     valid: bool,
+}
+
+/// Division by a fixed divisor: a shift and a mask when it is a power
+/// of two (every stock line size and L1 set count), `/` and `%`
+/// otherwise (the Fermi L2 slice has 51 sets).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Divisor {
+    d: u64,
+    /// `log2(d)` when `d` is a power of two.
+    shift: Option<u32>,
+}
+
+impl Divisor {
+    pub(crate) fn new(d: u64) -> Divisor {
+        Divisor {
+            d,
+            shift: d.is_power_of_two().then(|| d.trailing_zeros()),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn div(self, x: u64) -> u64 {
+        match self.shift {
+            Some(s) => x >> s,
+            None => x / self.d,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn rem(self, x: u64) -> u64 {
+        match self.shift {
+            Some(_) => x & (self.d - 1),
+            None => x % self.d,
+        }
+    }
+
+    /// `x` rounded down to a multiple of the divisor.
+    #[inline]
+    pub(crate) fn round_down(self, x: u64) -> u64 {
+        match self.shift {
+            Some(_) => x & !(self.d - 1),
+            None => x / self.d * self.d,
+        }
+    }
 }
 
 /// The outcome of probing the cache.
@@ -42,10 +90,15 @@ pub enum CacheDecision {
 pub struct Cache {
     cfg: CacheConfig,
     sets: Vec<Vec<Line>>,
-    /// Outstanding misses: line address → fill cycle.
-    mshrs: HashMap<u64, u64>,
+    line: Divisor,
+    set: Divisor,
+    /// Outstanding misses as (line address, fill cycle), one entry per
+    /// line, in no particular order.
+    mshrs: Vec<(u64, u64)>,
+    /// The earliest fill cycle in `mshrs`; `u64::MAX` when it is empty.
+    next_fill: u64,
     /// Dirty lines evicted since the last [`Cache::take_writebacks`].
-    writebacks: Vec<u64>,
+    writebacks: u64,
 }
 
 impl Cache {
@@ -66,8 +119,11 @@ impl Cache {
                 ];
                 sets
             ],
-            mshrs: HashMap::new(),
-            writebacks: Vec::new(),
+            line: Divisor::new(cfg.line_bytes as u64),
+            set: Divisor::new(sets as u64),
+            mshrs: Vec::new(),
+            next_fill: u64::MAX,
+            writebacks: 0,
         }
     }
 
@@ -77,30 +133,41 @@ impl Cache {
     }
 
     fn line_addr(&self, addr: u64) -> u64 {
-        addr / self.cfg.line_bytes as u64
+        self.line.div(addr)
     }
 
     fn set_of(&self, line: u64) -> usize {
-        (line % self.sets.len() as u64) as usize
+        self.set.rem(line) as usize
     }
 
     /// Retire MSHR entries whose fills completed by `now`, installing
-    /// their lines.
+    /// their lines in ascending line order (the order fixes LRU
+    /// victims and so which dirty lines are evicted).
     pub fn drain_completed(&mut self, now: u64) {
-        if self.mshrs.is_empty() {
+        if now < self.next_fill {
             return;
         }
-        let mut done: Vec<u64> = self
-            .mshrs
-            .iter()
-            .filter(|&(_, &ready)| ready <= now)
-            .map(|(&l, _)| l)
-            .collect();
-        done.sort_unstable(); // deterministic install order
-        for line in done {
-            let ready = self.mshrs.remove(&line).expect("entry exists");
+        // Move the due entries behind the pending ones, sort that tail
+        // by line, install it, and cut it off: no allocation per call.
+        let mut pending = 0;
+        for k in 0..self.mshrs.len() {
+            if self.mshrs[k].1 > now {
+                self.mshrs.swap(pending, k);
+                pending += 1;
+            }
+        }
+        self.mshrs[pending..].sort_unstable_by_key(|&(line, _)| line);
+        for k in pending..self.mshrs.len() {
+            let (line, ready) = self.mshrs[k];
             self.install(line, ready, false);
         }
+        self.mshrs.truncate(pending);
+        self.next_fill = self
+            .mshrs
+            .iter()
+            .map(|&(_, ready)| ready)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Probe for a read (or write-allocate) access at cycle `now`.
@@ -116,7 +183,7 @@ impl Cache {
             l.last_used = now;
             return CacheDecision::Hit;
         }
-        if let Some(&ready) = self.mshrs.get(&line) {
+        if let Some(&(_, ready)) = self.mshrs.iter().find(|&&(l, _)| l == line) {
             return CacheDecision::MissPending { ready_at: ready };
         }
         if self.mshrs.len() >= self.cfg.mshrs as usize {
@@ -126,10 +193,16 @@ impl Cache {
     }
 
     /// Record that the miss on `addr` (returned as
-    /// [`CacheDecision::MissNew`]) fills at `ready_at`.
+    /// [`CacheDecision::MissNew`], so its line has no entry yet) fills
+    /// at `ready_at`.
     pub fn complete_miss(&mut self, addr: u64, ready_at: u64) {
         let line = self.line_addr(addr);
-        self.mshrs.insert(line, ready_at);
+        debug_assert!(
+            self.mshrs.iter().all(|&(l, _)| l != line),
+            "line {line:#x} already has an MSHR"
+        );
+        self.mshrs.push((line, ready_at));
+        self.next_fill = self.next_fill.min(ready_at);
     }
 
     /// Write `addr` if present; returns `true` on hit (line marked
@@ -147,13 +220,7 @@ impl Cache {
         false
     }
 
-    /// Mark the (present or in-flight) line dirty after a
-    /// write-allocate fill.
-    pub fn mark_dirty(&mut self, addr: u64, now: u64) {
-        let _ = self.write_hit(addr, now);
-    }
-
-    /// Install a line, evicting LRU. Dirty victims are queued for
+    /// Install a line, evicting LRU. Dirty victims are counted for
     /// write-back accounting.
     fn install(&mut self, line: u64, now: u64, dirty: bool) {
         let set = self.set_of(line);
@@ -168,8 +235,7 @@ impl Cache {
             .min_by_key(|l| if l.valid { l.last_used + 1 } else { 0 })
             .expect("cache has at least one way");
         if victim.valid && victim.dirty {
-            self.writebacks
-                .push(victim.tag * self.cfg.line_bytes as u64);
+            self.writebacks += 1;
         }
         *victim = Line {
             tag: line,
@@ -179,9 +245,9 @@ impl Cache {
         };
     }
 
-    /// Dirty-line addresses evicted since the last call (for
+    /// The number of dirty lines evicted since the last call (for
     /// bandwidth accounting).
-    pub fn take_writebacks(&mut self) -> Vec<u64> {
+    pub fn take_writebacks(&mut self) -> u64 {
         std::mem::take(&mut self.writebacks)
     }
 
@@ -267,9 +333,12 @@ mod tests {
         assert_eq!(c.access(0x100, 5), CacheDecision::MissNew);
         c.complete_miss(0x100, 6);
         c.drain_completed(10);
-        let wb = c.take_writebacks();
-        assert_eq!(wb, vec![0x000]);
-        assert!(c.take_writebacks().is_empty());
+        assert_eq!(c.take_writebacks(), 1);
+        assert_eq!(c.take_writebacks(), 0);
+        // The dirty victim was 0x000; the two younger lines remain.
+        assert_eq!(c.access(0x080, 11), CacheDecision::Hit);
+        assert_eq!(c.access(0x100, 11), CacheDecision::Hit);
+        assert_eq!(c.access(0x000, 11), CacheDecision::MissNew);
     }
 
     #[test]

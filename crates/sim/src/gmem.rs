@@ -9,7 +9,9 @@
 //! `Vec`-backed pages of 512 cells (4 KiB of cell data) behind a small
 //! page table and a one-entry TLB: warp accesses are strongly
 //! clustered, so almost every lane hits the TLB and resolves to an
-//! array index.
+//! array index. The TLB also remembers a page that no store has
+//! created: kernels read input arrays they never write, so otherwise
+//! every lane of those loads would probe the page table.
 //!
 //! Pages are created by stores only; loads of unmapped pages return
 //! the default fill without allocating. Created pages are prefilled
@@ -58,9 +60,10 @@ impl Page {
 pub struct GlobalMem {
     pages: Vec<Page>,
     table: HashMap<u64, u32>,
-    /// One-entry TLB: last page number and its arena index.
+    /// One-entry TLB: the last page number looked up and its arena
+    /// index, `None` while no store has created that page.
     tlb_page: u64,
-    tlb_idx: u32,
+    tlb_idx: Option<u32>,
     sparse: HashMap<u64, u64>,
 }
 
@@ -77,20 +80,18 @@ impl GlobalMem {
             pages: Vec::new(),
             table: HashMap::new(),
             tlb_page: u64::MAX,
-            tlb_idx: 0,
+            tlb_idx: None,
             sparse: HashMap::new(),
         }
     }
 
     #[inline]
     fn lookup(&mut self, page_no: u64) -> Option<u32> {
-        if page_no == self.tlb_page {
-            return Some(self.tlb_idx);
+        if page_no != self.tlb_page {
+            self.tlb_page = page_no;
+            self.tlb_idx = self.table.get(&page_no).copied();
         }
-        let idx = *self.table.get(&page_no)?;
-        self.tlb_page = page_no;
-        self.tlb_idx = idx;
-        Some(idx)
+        self.tlb_idx
     }
 
     /// The value at `addr`: the last store, or the default fill.
@@ -123,7 +124,7 @@ impl GlobalMem {
                 self.pages.push(Page::new(page_no));
                 self.table.insert(page_no, idx);
                 self.tlb_page = page_no;
-                self.tlb_idx = idx;
+                self.tlb_idx = Some(idx);
                 idx
             }
         };
@@ -192,6 +193,18 @@ mod tests {
         for &(a, v) in &writes {
             assert_eq!(map.get(&a), Some(&v));
         }
+    }
+
+    #[test]
+    fn a_store_maps_a_page_the_tlb_saw_unmapped() {
+        let mut m = GlobalMem::new();
+        assert_eq!(m.load(0x1000), default_memory_value(0x1000));
+        m.store(0x1004, 5);
+        assert_eq!(m.load(0x1004), 5);
+        assert_eq!(m.load(0x1000), default_memory_value(0x1000));
+        // Away to another unmapped page and back.
+        assert_eq!(m.load(0x9000), default_memory_value(0x9000));
+        assert_eq!(m.load(0x1004), 5);
     }
 
     #[test]

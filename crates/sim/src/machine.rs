@@ -1297,6 +1297,31 @@ impl<'a> Machine<'a> {
                 * 4
     }
 
+    /// The lines a global or local access by the lanes in `mask`
+    /// touches, coalesced (ascending, unique) in `lines`.
+    fn coalesce_lanes<'l>(
+        &self,
+        w: &Warp,
+        space: Space,
+        mask: u32,
+        lane_addrs: &[u64; 32],
+        lines: &'l mut [u64; 32],
+    ) -> &'l [u64] {
+        let line = self.mem.line();
+        let mut n = 0;
+        for lane in Lanes(mask) {
+            let ta = if space == Space::Local {
+                let tid = w.warp_in_block * self.cfg.warp_size + lane as u32;
+                self.local_timing_addr(w.ctaid, tid, lane_addrs[lane])
+            } else {
+                lane_addrs[lane]
+            };
+            lines[n] = line.round_down(ta);
+            n += 1;
+        }
+        coalesce_in_place(lines, n)
+    }
+
     /// Execute and issue `inst` for warp `i`, dispatching once on the
     /// decode-time [`OpClass`] tag (no per-op probing in the hot path).
     fn issue_instruction(
@@ -1581,20 +1606,8 @@ impl<'a> Machine<'a> {
                 self.now + self.cfg.lat.shared as u64 + extra
             }
             Space::Global | Space::Local => {
-                let line_bytes = self.mem.line_bytes();
                 let mut lines = [0u64; 32];
-                let mut n = 0;
-                for lane in Lanes(mask) {
-                    let tid = w.warp_in_block * self.cfg.warp_size + lane as u32;
-                    let ta = if space == Space::Local {
-                        self.local_timing_addr(w.ctaid, tid, lane_addrs[lane])
-                    } else {
-                        lane_addrs[lane]
-                    };
-                    lines[n] = ta / line_bytes * line_bytes;
-                    n += 1;
-                }
-                let lines = coalesce_in_place(&mut lines, n);
+                let lines = self.coalesce_lanes(w, space, mask, &lane_addrs, &mut lines);
                 if lines.is_empty() {
                     self.now + self.cfg.lat.alu as u64
                 } else {
@@ -1722,20 +1735,8 @@ impl<'a> Machine<'a> {
 
         // Timing: stores never block the warp.
         if matches!(space, Space::Global | Space::Local) {
-            let line_bytes = self.mem.line_bytes();
             let mut lines = [0u64; 32];
-            let mut n = 0;
-            for lane in Lanes(mask) {
-                let tid = w.warp_in_block * self.cfg.warp_size + lane as u32;
-                let ta = if space == Space::Local {
-                    self.local_timing_addr(w.ctaid, tid, lane_addrs[lane])
-                } else {
-                    lane_addrs[lane]
-                };
-                lines[n] = ta / line_bytes * line_bytes;
-                n += 1;
-            }
-            let lines = coalesce_in_place(&mut lines, n);
+            let lines = self.coalesce_lanes(w, space, mask, &lane_addrs, &mut lines);
             self.mem.store_warp(lines, self.now, &mut self.stats);
         }
 

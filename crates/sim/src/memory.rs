@@ -8,7 +8,7 @@
 //! blocks fits — exactly the contention-vs-TLP effect the paper
 //! exploits.
 
-use crate::cache::{Cache, CacheDecision};
+use crate::cache::{Cache, CacheDecision, Divisor};
 use crate::config::{GpuConfig, LatencyConfig, ShmBankConfig};
 use crate::stats::SimStats;
 
@@ -59,7 +59,7 @@ pub struct MemorySystem {
     l1: Cache,
     l2: Cache,
     lat: LatencyConfig,
-    line_bytes: u64,
+    line: Divisor,
     dram_next_free: u64,
     dram_cycles_per_line: f64,
     dram_fraction: f64,
@@ -72,7 +72,7 @@ impl MemorySystem {
             l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
             lat: cfg.lat,
-            line_bytes: cfg.l1.line_bytes as u64,
+            line: Divisor::new(cfg.l1.line_bytes as u64),
             dram_next_free: 0,
             dram_cycles_per_line: cfg.l1.line_bytes as f64 / cfg.dram_bytes_per_cycle,
             dram_fraction: 0.0,
@@ -93,14 +93,11 @@ impl MemorySystem {
 
     /// Charge any L1 dirty-eviction write-backs to DRAM bandwidth.
     fn charge_writebacks(&mut self, now: u64, stats: &mut SimStats) {
-        for _wb in self.l1.take_writebacks() {
+        let n = self.l1.take_writebacks() + self.l2.take_writebacks();
+        for _ in 0..n {
             let _ = self.dram_slot(now);
-            stats.dram_transactions += 1;
         }
-        for _wb in self.l2.take_writebacks() {
-            let _ = self.dram_slot(now);
-            stats.dram_transactions += 1;
-        }
+        stats.dram_transactions += n;
     }
 
     /// Service a miss in L2/DRAM; returns the cycle the line reaches L1.
@@ -224,17 +221,15 @@ impl MemorySystem {
         }
     }
 
-    /// The cache-line size in bytes, for callers coalescing into their
-    /// own (stack-allocated) storage.
-    pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
+    /// The cache-line size, for callers coalescing into their own
+    /// (stack-allocated) storage.
+    pub(crate) fn line(&self) -> Divisor {
+        self.line
     }
 
     /// Coalesce per-lane byte addresses into unique line addresses.
     pub fn coalesce(&self, lane_addrs: impl Iterator<Item = u64>) -> Vec<u64> {
-        let mut lines: Vec<u64> = lane_addrs
-            .map(|a| a / self.line_bytes * self.line_bytes)
-            .collect();
+        let mut lines: Vec<u64> = lane_addrs.map(|a| self.line.round_down(a)).collect();
         lines.sort_unstable();
         lines.dedup();
         lines

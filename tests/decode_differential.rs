@@ -62,3 +62,42 @@ fn scheduler_variants_match_the_reference_interpreter() {
         }
     }
 }
+
+#[test]
+fn reservation_storms_match_the_reference_interpreter() {
+    // The grids above run one block per SM and barely reserve-fail.
+    // Starved MSHR tables at grid 30 make the retry path the common
+    // case: a two-entry L1, and an L1-bypassing configuration whose
+    // four-entry L2 fails mid-warp (`load_warp_bypass`).
+    let mut starved_l1 = GpuConfig::fermi();
+    starved_l1.l1.mshrs = 2;
+    let mut starved_bypass = GpuConfig::fermi();
+    starved_bypass.l1_bypass_global = true;
+    starved_bypass.l2.mshrs = 4;
+    for (case, base) in [
+        ("l1.mshrs=2", starved_l1),
+        ("bypass, l2.mshrs=4", starved_bypass),
+    ] {
+        for sched in [
+            SchedulerKind::Gto,
+            SchedulerKind::Lrr,
+            SchedulerKind::TwoLevel,
+        ] {
+            let mut gpu = base.clone();
+            gpu.scheduler = sched;
+            for abbr in ["CFD", "STE", "SPMV", "KMN"] {
+                let app = suite::spec(abbr);
+                let kernel = build_kernel(app);
+                let launch = launch_sized(app, 30);
+                let new = simulate_capture(&kernel, &gpu, &launch, 21, None);
+                let old = reference::simulate_capture(&kernel, &gpu, &launch, 21, None);
+                let fails = new.as_ref().map_or(0, |(s, _)| s.l1_reservation_fails);
+                assert!(
+                    fails > 0,
+                    "app {abbr} ({case}, {sched:?}) never reserve-failed"
+                );
+                assert_eq!(new, old, "app {abbr} diverges ({case}, {sched:?})");
+            }
+        }
+    }
+}
