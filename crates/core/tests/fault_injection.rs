@@ -599,10 +599,13 @@ fn event_scheduler_survives_stall_storm_budgets() {
                 )
             };
             let mut gpu = GpuConfig::fermi();
-            gpu.scheduler = match seed % 3 {
-                0 => SchedulerKind::Gto,
-                1 => SchedulerKind::Lrr,
-                _ => SchedulerKind::TwoLevel,
+            // Independent of the kernel (`seed % 2`) and budget
+            // (`seed % 4`) choices, so every (kernel, budget) class
+            // runs under both schedulers.
+            gpu.scheduler = if (seed / 4) % 2 == 0 {
+                SchedulerKind::Gto
+            } else {
+                SchedulerKind::Lrr
             };
             match seed % 4 {
                 0 => {

@@ -16,16 +16,7 @@ pub enum SchedulerKind {
     Gto,
     /// Loose round-robin.
     Lrr,
-    /// Two-level scheduling (Narasiman et al., MICRO'11): warps form
-    /// fetch groups of [`TWO_LEVEL_GROUP`] warps; the scheduler issues
-    /// from the lowest-numbered group with a ready warp, so groups
-    /// drift apart and long-latency stalls of one group hide behind
-    /// another's compute.
-    TwoLevel,
 }
-
-/// Warps per fetch group for [`SchedulerKind::TwoLevel`].
-pub const TWO_LEVEL_GROUP: u64 = 4;
 
 /// Geometry of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

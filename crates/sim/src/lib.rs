@@ -42,6 +42,11 @@
 //! # Ok::<(), crat_sim::SimError>(())
 //! ```
 
+// Memory safety: the one `unsafe` site, the in-place ALU write in
+// `machine.rs`, carries a local `#[allow]` with its justification; any
+// other fails the build.
+#![deny(unsafe_code)]
+
 mod cache;
 mod config;
 pub mod decode;
@@ -63,7 +68,6 @@ pub use cache::{Cache, CacheDecision};
 pub use config::fault::{self, FaultPlan};
 pub use config::{
     CacheConfig, GpuConfig, LatencyConfig, LaunchConfig, SchedulerKind, ShmBankConfig,
-    TWO_LEVEL_GROUP,
 };
 pub use decode::{decode, DecodedKernel, OpClass};
 pub use energy::{estimate_energy, EnergyCoefficients, EnergyReport};

@@ -227,8 +227,9 @@ struct Warp {
     /// scheduler scan skips it without re-attempting. Cleared on
     /// writeback drain, on issue, and on (re)launch.
     sb_blocked: bool,
-    /// The warp is enqueued in its scheduler's ready queue
-    /// ([`Machine::ready`]); guards against duplicate enqueues.
+    /// The warp has a live entry in its scheduler's GTO ready heap
+    /// ([`Machine::ready`]); guards against duplicate enqueues. Unused
+    /// under LRR, which keeps no heap.
     in_ready: bool,
     age: u64,
     generation: u64,
@@ -281,37 +282,29 @@ impl Iterator for Lanes {
     }
 }
 
-/// A scheduler's pool of possibly-issuable warps. The representation
-/// follows the scheduler kind:
-///
-/// * **GTO** keeps an age-keyed min-heap. Ages are unique and static
-///   for a warp's whole lifetime, and whenever the GTO scan runs the
-///   remembered current warp is never an issuable candidate (the
-///   greedy fast path already issued, mem-stalled, or blocked it), so
-///   the scan order for the remaining candidates is exactly ascending
-///   `(age, slot)` — the heap replaces the take/sort/requeue dance
-///   with peek-and-pop under lazy invalidation. An entry carries the
-///   age it was enqueued with; a mismatch with the warp's current age
-///   marks a stale entry from before a slot relaunch (the relaunch
-///   pushed its own fresh entry), which is dropped without touching
-///   [`Warp::in_ready`].
-/// * **LRR/TwoLevel** priorities depend on per-decision state
-///   (`lrr_next`, the current warp), so the pool stays an unordered
-///   vector that the scan sorts per decision.
-enum ReadyQueue {
-    Heap(BinaryHeap<Reverse<(u64, usize)>>),
-    Scan(Vec<usize>),
-}
+/// GTO's per-scheduler pool of possibly-issuable warps: an age-keyed
+/// min-heap. Ages are unique and static for a warp's whole lifetime,
+/// and whenever the GTO scan runs the remembered current warp is never
+/// an issuable candidate (the greedy fast path already issued,
+/// mem-stalled, or blocked it), so the scan order for the remaining
+/// candidates is exactly ascending `(age, slot)` — the heap replaces a
+/// per-decision sort with peek-and-pop under lazy invalidation. An
+/// entry carries the age it was enqueued with; a mismatch with the
+/// warp's current age marks a stale entry from before a slot relaunch
+/// (the relaunch pushed its own fresh entry), which is dropped without
+/// touching [`Warp::in_ready`]. LRR keeps no pool: its priorities
+/// rotate with `lrr_next`, so its scan walks the scheduler's own slots
+/// ([`Machine::schedule_scan_lrr`]).
+type ReadyHeap = BinaryHeap<Reverse<(u64, usize)>>;
 
-impl ReadyQueue {
-    /// Enqueue a warp that became issuable. The caller guards with
-    /// [`Warp::in_ready`]: a fresh entry per slot at most.
-    #[inline]
-    fn enqueue(&mut self, slot: usize, age: u64) {
-        match self {
-            ReadyQueue::Heap(h) => h.push(Reverse((age, slot))),
-            ReadyQueue::Scan(q) => q.push(slot),
-        }
+/// Push warp slot `slot` onto its scheduler's ready heap unless it
+/// already has a live entry. A no-op under LRR, whose `ready` holds no
+/// heaps (under GTO it holds one per scheduler, so its length is the
+/// scheduler count).
+fn enqueue_ready(ready: &mut [ReadyHeap], slot: usize, w: &mut Warp) {
+    if !ready.is_empty() && !w.in_ready {
+        w.in_ready = true;
+        ready[slot % ready.len()].push(Reverse((w.age, slot)));
     }
 }
 
@@ -354,9 +347,6 @@ struct Machine<'a> {
     generation_counter: u64,
     gto_current: Vec<Option<usize>>,
     lrr_next: Vec<usize>,
-    /// Scheduler candidate scratch (priority key, warp slot), reused
-    /// every cycle.
-    cand_scratch: Vec<((u64, u64, u64), usize)>,
     /// Retired block contexts awaiting reuse.
     block_pool: Vec<BlockCtx>,
     /// Per-scheduler `(cause, head warp)` for the current cycle-loop
@@ -381,14 +371,14 @@ struct Machine<'a> {
     /// `gto_current`, issues advance pc/stacks/done), block launches,
     /// and barrier releases.
     stall_cached: Vec<Option<(StallCause, u32)>>,
-    /// Per-scheduler pool of warp slots that may be issuable (live,
-    /// not at a barrier, not [`Warp::sb_blocked`]). The issue scan
-    /// walks only this pool instead of every owned slot; stale
-    /// entries are dropped lazily (clearing [`Warp::in_ready`]), and
-    /// the events that make a warp issuable again (writeback drain,
-    /// barrier release, block launch) re-enqueue it. GTO uses the
-    /// age-keyed heap representation; see [`ReadyQueue`].
-    ready: Vec<ReadyQueue>,
+    /// GTO's per-scheduler heap of warp slots that may be issuable
+    /// (live, not at a barrier, not [`Warp::sb_blocked`]); empty under
+    /// LRR. The GTO issue scan walks only this heap instead of every
+    /// owned slot; stale entries are dropped lazily (clearing
+    /// [`Warp::in_ready`]), and the events that make a warp issuable
+    /// again (writeback drain, barrier release, block launch)
+    /// re-enqueue it. See [`ReadyHeap`].
+    ready: Vec<ReadyHeap>,
     /// Shared-memory bank model; `None` (every stock configuration)
     /// keeps shared memory conflict-free and every path below
     /// untouched.
@@ -464,17 +454,14 @@ impl<'a> Machine<'a> {
             generation_counter: 0,
             gto_current: vec![None; cfg.num_schedulers as usize],
             lrr_next: vec![0; cfg.num_schedulers as usize],
-            cand_scratch: Vec::new(),
             block_pool: Vec::new(),
             slot_causes: vec![(StallCause::Empty, NO_WARP); cfg.num_schedulers as usize],
             sched_cached: vec![None; cfg.num_schedulers as usize],
             stall_cached: vec![None; cfg.num_schedulers as usize],
-            ready: (0..cfg.num_schedulers)
-                .map(|_| match cfg.scheduler {
-                    SchedulerKind::Gto => ReadyQueue::Heap(BinaryHeap::new()),
-                    _ => ReadyQueue::Scan(Vec::new()),
-                })
-                .collect(),
+            ready: match cfg.scheduler {
+                SchedulerKind::Gto => vec![BinaryHeap::new(); cfg.num_schedulers as usize],
+                SchedulerKind::Lrr => Vec::new(),
+            },
             bank: cfg.shm_banks,
             shm_busy_until: vec![0; cfg.num_schedulers as usize],
             shm_busy_head: vec![NO_WARP; cfg.num_schedulers as usize],
@@ -530,7 +517,6 @@ impl<'a> Machine<'a> {
         self.blocks[slot] = Some(ctx);
 
         let nregs = self.dk.num_regs();
-        let nsched = self.sched_cached.len();
         for w in 0..self.warps_per_block {
             self.generation_counter += 1;
             self.age_counter += 1;
@@ -563,24 +549,12 @@ impl<'a> Machine<'a> {
                     old.at_barrier = false;
                     old.done = false;
                     old.sb_blocked = false;
+                    // The relaunched warp's age is fresh, so any entry
+                    // the slot still has in the heap carries a retired
+                    // age and is stale: always push the fresh key.
+                    old.in_ready = false;
                     old.age = self.age_counter;
                     old.generation = self.generation_counter;
-                    match &mut self.ready[wslot % nsched] {
-                        // The relaunched warp's age is fresh, so any
-                        // entry the slot still has in the heap carries
-                        // a retired age and is stale: always push the
-                        // fresh key.
-                        ReadyQueue::Heap(h) => {
-                            old.in_ready = true;
-                            h.push(Reverse((self.age_counter, wslot)));
-                        }
-                        ReadyQueue::Scan(q) => {
-                            if !old.in_ready {
-                                old.in_ready = true;
-                                q.push(wslot);
-                            }
-                        }
-                    }
                 }
                 None => {
                     self.warps[wslot] = Some(Warp {
@@ -596,13 +570,14 @@ impl<'a> Machine<'a> {
                         at_barrier: false,
                         done: false,
                         sb_blocked: false,
-                        in_ready: true,
+                        in_ready: false,
                         age: self.age_counter,
                         generation: self.generation_counter,
                     });
-                    self.ready[wslot % nsched].enqueue(wslot, self.age_counter);
                 }
             }
+            let w = self.warps[wslot].as_mut().expect("warp just launched");
+            enqueue_ready(&mut self.ready, wslot, w);
         }
         self.stats
             .attribution
@@ -763,11 +738,7 @@ impl<'a> Machine<'a> {
                 if w.sb_blocked && (w.block_need == u64::MAX || w.block_need & w.pending_mask == 0)
                 {
                     w.sb_blocked = false;
-                    if !w.in_ready {
-                        w.in_ready = true;
-                        let age = w.age;
-                        self.ready[slot % nsched].enqueue(slot, age);
-                    }
+                    enqueue_ready(&mut self.ready, slot, w);
                     self.sched_cached[slot % nsched] = None;
                 }
             }
@@ -800,14 +771,13 @@ impl<'a> Machine<'a> {
         }
         // Greedy fast path (GTO only): under GTO keys the remembered
         // current warp compares strictly below every other candidate
-        // whenever it is schedulable, so try it before building and
-        // sorting the candidate list — while that warp keeps issuing,
-        // no cycle pays a scan. Issued/MemStall outcomes are
-        // bit-identical to the full path (same warp, same
-        // bookkeeping); when the warp is scoreboard-blocked, fall
-        // through and rebuild the list, which retries it harmlessly
-        // (`try_issue` is idempotent for blocked warps: reconvergence
-        // pops are, and the scoreboard check is pure).
+        // whenever it is schedulable, so try it before the heap scan —
+        // while that warp keeps issuing, no cycle pays a scan.
+        // Issued/MemStall outcomes are bit-identical to the full path
+        // (same warp, same bookkeeping); a scoreboard-blocked warp is
+        // marked [`Warp::sb_blocked`] as the scan would mark it (its
+        // reconvergence pops are the ones the scan's attempt would
+        // apply), and the scan then skips it.
         if self.cfg.scheduler == SchedulerKind::Gto {
             if let Some(i) = self.gto_current[s] {
                 if let Some(w) = self.warps.get(i).and_then(Option::as_ref) {
@@ -837,9 +807,9 @@ impl<'a> Machine<'a> {
                 }
             }
         }
-        match self.ready[s] {
-            ReadyQueue::Heap(_) => self.schedule_scan_gto(s),
-            ReadyQueue::Scan(_) => self.schedule_scan_sorted(s),
+        match self.cfg.scheduler {
+            SchedulerKind::Gto => self.schedule_scan_gto(s),
+            SchedulerKind::Lrr => self.schedule_scan_lrr(s),
         }
     }
 
@@ -851,9 +821,7 @@ impl<'a> Machine<'a> {
     /// (the greedy fast path already handled it).
     fn schedule_scan_gto(&mut self, s: usize) -> Result<(StallCause, u32), SimError> {
         loop {
-            let ReadyQueue::Heap(h) = &mut self.ready[s] else {
-                unreachable!("GTO scheduler uses the heap pool")
-            };
+            let h = &mut self.ready[s];
             let Some(&Reverse((age, i))) = h.peek() else {
                 break;
             };
@@ -894,12 +862,9 @@ impl<'a> Machine<'a> {
                     let w = self.warps[i].as_mut().expect("candidate exists");
                     w.sb_blocked = true;
                     w.in_ready = false;
-                    let ReadyQueue::Heap(h) = &mut self.ready[s] else {
-                        unreachable!("GTO scheduler uses the heap pool")
-                    };
                     // A blocked attempt pushes nothing, so the popped
                     // minimum is still this candidate's entry.
-                    h.pop();
+                    self.ready[s].pop();
                 }
                 // A memory-path reservation failure blocks this
                 // scheduler's load/store unit for the cycle.
@@ -913,76 +878,52 @@ impl<'a> Machine<'a> {
         Ok(self.classify_stall(s))
     }
 
-    /// LRR/TwoLevel issue scan: detach the unordered ready pool, sort
-    /// the issuable candidates by the per-decision priority key, and
-    /// attempt them in order. Scratch storage is reused; a manual
-    /// insertion sort keeps the hot loop allocation-free, and the full
-    /// `(key, slot)` compare reproduces the ascending-slot order of
-    /// equal keys that the old stable sort over the slot scan
-    /// guaranteed.
-    fn schedule_scan_sorted(&mut self, s: usize) -> Result<(StallCause, u32), SimError> {
-        let ReadyQueue::Scan(pool) = &mut self.ready[s] else {
-            unreachable!("non-GTO schedulers use the scan pool")
-        };
-        let mut q = std::mem::take(pool);
-        let mut cands = std::mem::take(&mut self.cand_scratch);
-        cands.clear();
-        for &i in &q {
-            let Some(w) = self.warps[i].as_mut() else {
+    /// LRR issue scan: walk the scheduler's own slots (`i % nsched ==
+    /// s`) in rotation order from `lrr_next[s]`, skip done, at-barrier
+    /// and [`Warp::sb_blocked`] warps, and attempt the rest. This is
+    /// ascending-key order because rotation distances are unique per
+    /// slot; testing issuability as the walk reaches a slot equals
+    /// filtering up front because a `Blocked` attempt changes no other
+    /// warp; and the first `Issued` or `MemStall` ends the scan.
+    fn schedule_scan_lrr(&mut self, s: usize) -> Result<(StallCause, u32), SimError> {
+        let nsched = self.cfg.num_schedulers as usize;
+        let nwarps = self.warps.len();
+        let start = self.lrr_next[s] % nwarps.max(1);
+        // The first owned slot at or after `start`; the walk wraps to
+        // the owned slots below `start` after the last one.
+        let first = start + (s + nsched - start % nsched) % nsched;
+        for i in (first..nwarps)
+            .step_by(nsched)
+            .chain((s..start).step_by(nsched))
+        {
+            let Some(w) = self.warps[i].as_ref() else {
                 continue;
             };
             if w.done || w.at_barrier || w.sb_blocked {
-                w.in_ready = false;
                 continue;
             }
-            let age = w.age;
-            cands.push((self.sched_key(s, i, age), i));
-        }
-        q.clear();
-        for n in 1..cands.len() {
-            let mut j = n;
-            while j > 0 && cands[j - 1] > cands[j] {
-                cands.swap(j - 1, j);
-                j -= 1;
-            }
-        }
-
-        let mut k = 0;
-        while k < cands.len() {
-            let i = cands[k].1;
-            k += 1;
             // Read the block slot before issuing: an Exit terminator
             // may retire the block and relaunch into this very slot.
-            let bslot = self.warps[i].as_ref().expect("candidate exists").block_slot;
-            match self.try_issue(i) {
-                Ok(IssueOutcome::Issued) => {
-                    self.gto_current[s] = Some(i);
+            let bslot = w.block_slot;
+            match self.try_issue(i)? {
+                IssueOutcome::Issued => {
                     self.lrr_next[s] = i + 1;
                     self.stall_cached[s] = None;
-                    self.requeue(s, q, &cands);
                     self.stats.attribution.warp_issued[i] += 1;
                     self.stats.attribution.block_issued[bslot] += 1;
                     return Ok((StallCause::Issued, i as u32));
                 }
-                Ok(IssueOutcome::Blocked) => {
-                    let w = self.warps[i].as_mut().expect("candidate exists");
-                    w.sb_blocked = true;
+                IssueOutcome::Blocked => {
+                    self.warps[i].as_mut().expect("candidate exists").sb_blocked = true;
                 }
                 // A memory-path reservation failure blocks this
                 // scheduler's load/store unit for the cycle.
-                Ok(IssueOutcome::MemStall) => {
-                    self.gto_current[s] = Some(i);
+                IssueOutcome::MemStall => {
                     self.stall_cached[s] = None;
-                    self.requeue(s, q, &cands);
                     return Ok((StallCause::MemStall, i as u32));
-                }
-                Err(e) => {
-                    self.requeue(s, q, &cands);
-                    return Err(e);
                 }
             }
         }
-        self.requeue(s, q, &cands);
         Ok(self.classify_stall(s))
     }
 
@@ -1012,51 +953,21 @@ impl<'a> Machine<'a> {
 
     /// Scheduler priority key for warp slot `i` (lower issues first).
     #[inline]
-    fn sched_key(&self, s: usize, i: usize, age: u64) -> (u64, u64, u64) {
+    fn sched_key(&self, s: usize, i: usize, age: u64) -> (u64, u64) {
         match self.cfg.scheduler {
             // Greedy: current warp first; then oldest-first.
-            SchedulerKind::Gto => (u64::from(Some(i) != self.gto_current[s]), age, 0),
+            SchedulerKind::Gto => (u64::from(Some(i) != self.gto_current[s]), age),
             SchedulerKind::Lrr => {
                 let nwarps = self.warps.len();
                 let start = self.lrr_next[s] % nwarps.max(1);
-                (((i + nwarps - start) % nwarps) as u64, 0, 0)
-            }
-            // Lowest-numbered fetch group first, GTO within it.
-            SchedulerKind::TwoLevel => (
-                age / crate::config::TWO_LEVEL_GROUP,
-                u64::from(Some(i) != self.gto_current[s]),
-                age,
-            ),
-        }
-    }
-
-    /// Rebuild scheduler `s`'s ready queue after an issue scan: keep
-    /// the still-issuable candidates (in queue order), drop the rest
-    /// (clearing `in_ready` so the unblocking event re-enqueues them),
-    /// and merge slots enqueued by side effects of the attempts (block
-    /// relaunch after Exit, barrier release) — those accumulated in
-    /// the empty vector left in `self.ready[s]` while `q` was
-    /// detached, and never duplicate a candidate because candidates
-    /// keep `in_ready` set for the whole scan.
-    fn requeue(&mut self, s: usize, mut q: Vec<usize>, cands: &[((u64, u64, u64), usize)]) {
-        for &(_, i) in cands {
-            let w = self.warps[i].as_mut().expect("candidate exists");
-            if w.done || w.at_barrier || w.sb_blocked {
-                w.in_ready = false;
-            } else {
-                q.push(i);
+                (((i + nwarps - start) % nwarps) as u64, 0)
             }
         }
-        let ReadyQueue::Scan(pool) = &mut self.ready[s] else {
-            unreachable!("requeue only runs for scan-pool schedulers")
-        };
-        let fresh = std::mem::replace(pool, q);
-        pool.extend(fresh);
     }
 
     /// Classify a zero-issue cycle for scheduler `s`: one pass over
     /// all its warp slots — including the blocked and parked warps the
-    /// ready queue excludes — yields the exclusive stall cause and the
+    /// issue scans skip — yields the exclusive stall cause and the
     /// head warp charged with it. Only runs on stall outcomes, whose
     /// result is then memoized, so the full scan is off the issue
     /// path.
@@ -1066,7 +977,7 @@ impl<'a> Machine<'a> {
         let mut saw_barrier = false;
         let mut any_live = false;
         let mut all_diverged = true;
-        let mut min_key = (u64::MAX, u64::MAX, u64::MAX);
+        let mut min_key = (u64::MAX, u64::MAX);
         let mut min_slot = 0usize;
         for i in (s..nwarps).step_by(nsched.max(1)) {
             let Some(w) = self.warps[i].as_ref() else {
@@ -1239,18 +1150,13 @@ impl<'a> Machine<'a> {
         if let Some(b) = self.blocks[block_slot].as_mut() {
             b.barrier_arrived = 0;
         }
-        let nsched = self.sched_cached.len();
         for i in 0..self.warps.len() {
             let Some(w) = self.warps[i].as_mut() else {
                 continue;
             };
             if w.block_slot == block_slot && w.at_barrier {
                 w.at_barrier = false;
-                if !w.in_ready {
-                    w.in_ready = true;
-                    let age = w.age;
-                    self.ready[i % nsched].enqueue(i, age);
-                }
+                enqueue_ready(&mut self.ready, i, w);
             }
         }
         // Released warps span schedulers.
@@ -1374,18 +1280,24 @@ impl<'a> Machine<'a> {
         // With every lane active and no source aliasing the define,
         // the blend would copy the whole temporary row verbatim — so
         // point the kernel straight at the destination row instead.
+        // This is the crate's one `unsafe` site. It stays while its
+        // ablation is open: always blending through `tmp` ran
+        // `suite-cold` 1.06× slower in one 16-pair run (slower in 12
+        // of 16) and 0.99× in another (7 of 16); see the DESIGN.md §5
+        // ablation table.
         let direct = mask == u32::MAX && !inst.dst_alias;
-        // SAFETY (for the `&mut *out` below): when `direct`, the
-        // pointer names `regs[inst.def]` and `dst_alias == false`
-        // guarantees no arm reads that row (sources, guard, and selp
-        // predicate are all in `uses`); the shared source-row borrows
-        // are therefore disjoint from it. When not `direct`, it names
-        // the scratch row outside the register file.
         let out_ptr: *mut [u64; 32] = if direct {
             &mut w.regs[inst.def as usize]
         } else {
             tmp
         };
+        // SAFETY: when `direct`, the pointer names `regs[inst.def]`
+        // and `dst_alias == false` guarantees no arm reads that row
+        // (sources, guard, and selp predicate are all in `uses`); the
+        // shared source-row borrows are therefore disjoint from it.
+        // When not `direct`, it names the scratch row outside the
+        // register file.
+        #[allow(unsafe_code)]
         let out = unsafe { &mut *out_ptr };
         match inst.op {
             DOp::Mov { ty, dst, src } => {
@@ -2491,7 +2403,7 @@ mod scheduler_tests {
         b.finish()
     }
 
-    /// All three schedulers complete the same work with identical
+    /// Both schedulers complete the same work with identical
     /// functional results and instruction counts.
     #[test]
     fn all_schedulers_agree_functionally() {
@@ -2500,11 +2412,7 @@ mod scheduler_tests {
             .with_param("input", 0x100_0000)
             .with_param("out", 0x200_0000);
         let mut results = Vec::new();
-        for sched in [
-            SchedulerKind::Gto,
-            SchedulerKind::Lrr,
-            SchedulerKind::TwoLevel,
-        ] {
+        for sched in [SchedulerKind::Gto, SchedulerKind::Lrr] {
             let mut cfg = GpuConfig::fermi();
             cfg.scheduler = sched;
             let (stats, mem) =
@@ -2512,8 +2420,6 @@ mod scheduler_tests {
             results.push((sched, stats.warp_insts, mem));
         }
         assert_eq!(results[0].1, results[1].1);
-        assert_eq!(results[0].1, results[2].1);
         assert_eq!(results[0].2, results[1].2);
-        assert_eq!(results[0].2, results[2].2);
     }
 }

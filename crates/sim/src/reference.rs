@@ -465,18 +465,6 @@ impl<'a> Machine<'a> {
                 let start = self.lrr_next[s] % self.warps.len().max(1);
                 cands.sort_by_key(|&i| (i + self.warps.len() - start) % self.warps.len());
             }
-            SchedulerKind::TwoLevel => {
-                // Lowest-numbered fetch group first, GTO within it.
-                cands.sort_by_key(|&i| {
-                    let age = self.warps[i].as_ref().map_or(u64::MAX, |w| w.age);
-                    let group = age / crate::config::TWO_LEVEL_GROUP;
-                    (
-                        group,
-                        if Some(i) == self.gto_current[s] { 0 } else { 1 },
-                        age,
-                    )
-                });
-            }
         }
 
         for &i in &cands {

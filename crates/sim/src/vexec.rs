@@ -7,9 +7,10 @@
 //! and type match per lane. Every kernel here hoists that match out of
 //! the loop: the `(op, ty)` pair is resolved once per warp instruction,
 //! and each match arm runs a fixed-size chunked loop (4 × u64 lanes per
-//! chunk; 32-bit arms narrow to `u32` in-register, giving the
-//! autovectorizer ×8 elements per 256-bit vector) that LLVM turns into
-//! SIMD code on stable Rust — no `std::simd`, no intrinsics.
+//! chunk) that LLVM turns into SIMD code for the baseline target (SSE2
+//! on x86-64) on stable Rust — no `std::simd`, no intrinsics, and no
+//! runtime CPU-feature dispatch: an AVX2 clone of every kernel, picked
+//! per call, measured no faster end to end.
 //!
 //! Masking: kernels always compute all 32 lanes into a caller-provided
 //! temporary row, and [`blend`] commits only the active lanes. This is
@@ -17,7 +18,10 @@
 //! [`crat_ptx::eval`] is total and deterministic (division by zero
 //! yields 0, float ops produce IEEE results on any bit pattern), each
 //! lane's output depends only on that lane's inputs, and inactive
-//! lanes' results are discarded by the blend. Kernels take *raw* rows:
+//! lanes' results are discarded by the blend. The one freedom IEEE
+//! leaves, which operand's payload a NaN result carries, the compiler
+//! may spend differently in vector and scalar code; `first_nan_f32`
+//! pins it where that happens. Kernels take *raw* rows:
 //! the width truncation `typed_src` applies on the scalar path is
 //! subsumed by each arm's own casts (`as u32`, `f32::from_bits(v as
 //! u32)`, `!= 0`), which is the same normalization.
@@ -38,38 +42,9 @@ pub type Row = [u64; 32];
 /// Warp width.
 pub const WARP: usize = 32;
 
-/// Lanes per vectorization chunk (`u64`×4 = one 256-bit vector).
+/// Lanes per vectorization chunk: four `u64`s, two 128-bit SSE2
+/// vectors on the baseline x86-64 target.
 const CHUNK: usize = 4;
-
-/// Compile a row kernel twice — once at the baseline target (SSE2 on
-/// x86-64) and once with AVX2 enabled — and pick per call from the
-/// CPU's actual feature set (cached by std's detection macro, so the
-/// test is one flag load). Both versions run the exact same lane
-/// arithmetic; wider registers change only how many lanes retire per
-/// vector instruction, never a result bit, so the differential suites
-/// hold on every dispatch path. The kernel body is an
-/// `#[inline(always)]` generator function, so the AVX2 clone
-/// re-optimizes the whole chunked loop under the wider feature set.
-macro_rules! multiversioned {
-    ($($(#[$m:meta])* pub fn $name:ident => $gen:ident
-        ($($arg:ident : $ty:ty),* $(,)?) $(-> $ret:ty)?;)*) => {$(
-        $(#[$m])*
-        pub fn $name($($arg: $ty),*) $(-> $ret)? {
-            #[cfg(target_arch = "x86_64")]
-            {
-                #[target_feature(enable = "avx2")]
-                unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
-                    $gen($($arg),*)
-                }
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: the feature test above just passed.
-                    return unsafe { avx2($($arg),*) };
-                }
-            }
-            $gen($($arg),*)
-        }
-    )*};
-}
 
 /// Apply `f` lane-wise over one source row. The closure is monomorphic
 /// per call site (one per match arm), so each instance compiles to its
@@ -107,8 +82,7 @@ fn map3(a: &Row, b: &Row, c_: &Row, out: &mut Row, f: impl Fn(u64, u64, u64) -> 
 /// bit `k` is set and keeps `dst[k]` otherwise. A fully-active warp is
 /// a plain row copy; partial masks use a branch-free select so the
 /// blend itself vectorizes.
-#[inline(always)]
-fn blend_gen(dst: &mut Row, tmp: &Row, mask: u32) {
+pub fn blend(dst: &mut Row, tmp: &Row, mask: u32) {
     if mask == u32::MAX {
         *dst = *tmp;
         return;
@@ -124,8 +98,7 @@ fn blend_gen(dst: &mut Row, tmp: &Row, mask: u32) {
 /// The lanes of `row` holding a non-zero value, as a bit mask. One
 /// vectorized pass over the row — this is how guard predicates and
 /// branch votes read a predicate register once instead of per lane.
-#[inline(always)]
-fn nonzero_mask_gen(row: &Row) -> u32 {
+pub fn nonzero_mask(row: &Row) -> u32 {
     let mut m = 0u32;
     for (k, &v) in row.iter().enumerate() {
         m |= u32::from(v != 0) << k;
@@ -135,15 +108,13 @@ fn nonzero_mask_gen(row: &Row) -> u32 {
 
 /// `out[k] = base[k] + imm` (wrapping): vectorized address resolution
 /// for register-based memory operands.
-#[inline(always)]
-fn add_imm_rows_gen(base: &Row, imm: u64, out: &mut Row) {
+pub fn add_imm_rows(base: &Row, imm: u64, out: &mut Row) {
     map1(base, out, |v| v.wrapping_add(imm));
 }
 
 /// `out[k] = truncate(ty, a[k])`: the register-to-register `mov` and
 /// store-source normalization.
-#[inline(always)]
-fn trunc_rows_gen(ty: Type, a: &Row, out: &mut Row) {
+pub fn trunc_rows(ty: Type, a: &Row, out: &mut Row) {
     match ty {
         Type::U32 | Type::S32 | Type::F32 => map1(a, out, |v| v & 0xFFFF_FFFF),
         Type::U64 | Type::F64 => *out = *a,
@@ -197,11 +168,15 @@ macro_rules! int_binary_arms {
 }
 
 macro_rules! float_binary_arms {
-    ($op:expr, $a:expr, $b:expr, $out:expr, $of:path, $to:path) => {{
+    ($op:expr, $a:expr, $b:expr, $out:expr, $of:path, $to:path, $first_nan:path) => {{
         match $op {
-            BinOp::Add => map2($a, $b, $out, |x, y| $to($of(x) + $of(y))),
+            BinOp::Add => map2($a, $b, $out, |x, y| {
+                $to($first_nan($of(x), $of(x) + $of(y)))
+            }),
             BinOp::Sub => map2($a, $b, $out, |x, y| $to($of(x) - $of(y))),
-            BinOp::Mul => map2($a, $b, $out, |x, y| $to($of(x) * $of(y))),
+            BinOp::Mul => map2($a, $b, $out, |x, y| {
+                $to($first_nan($of(x), $of(x) * $of(y)))
+            }),
             BinOp::Div => map2($a, $b, $out, |x, y| $to($of(x) / $of(y))),
             BinOp::Rem => map2($a, $b, $out, |x, y| $to($of(x) % $of(y))),
             BinOp::Min => map2($a, $b, $out, |x, y| $to($of(x).min($of(y)))),
@@ -211,6 +186,33 @@ macro_rules! float_binary_arms {
             }
         }
     }};
+}
+
+/// `r`, or the quieted `x` when `x` is NaN. The scalar path's `x + y`
+/// and `x * y` compile to one x86 instruction with `x` first, which
+/// returns `x` (quieted) whenever it is NaN. LLVM treats both ops as
+/// commutative, and the vectorized loops compiled for the baseline
+/// target swap the operands, so a lane where both are NaN would carry
+/// `y`'s payload instead; this pins the scalar result. (Sub and div
+/// are not commutative and keep their order; min, max and mad already
+/// match.)
+#[inline(always)]
+fn first_nan_f32(x: f32, r: f32) -> f32 {
+    if x.is_nan() {
+        f32::from_bits(x.to_bits() | 0x0040_0000)
+    } else {
+        r
+    }
+}
+
+/// [`first_nan_f32`] for `f64`.
+#[inline(always)]
+fn first_nan_f64(x: f64, r: f64) -> f64 {
+    if x.is_nan() {
+        f64::from_bits(x.to_bits() | 0x0008_0000_0000_0000)
+    } else {
+        r
+    }
 }
 
 #[inline]
@@ -235,14 +237,13 @@ fn of_f64(v: f64) -> u64 {
 
 /// Whole-row [`interp::binary_op`]: `out[k] = binary_op(op, ty, a[k],
 /// b[k])` for all 32 lanes.
-#[inline(always)]
-fn binary_rows_gen(op: BinOp, ty: Type, a: &Row, b: &Row, out: &mut Row) {
+pub fn binary_rows(op: BinOp, ty: Type, a: &Row, b: &Row, out: &mut Row) {
     match ty {
         Type::U32 => int_binary_arms!(op, a, b, out, u32, u32, 31),
         Type::S32 => int_binary_arms!(op, a, b, out, i32, u32, 31),
         Type::U64 => int_binary_arms!(op, a, b, out, u64, u64, 63),
-        Type::F32 => float_binary_arms!(op, a, b, out, f32_of, of_f32),
-        Type::F64 => float_binary_arms!(op, a, b, out, f64_of, of_f64),
+        Type::F32 => float_binary_arms!(op, a, b, out, f32_of, of_f32, first_nan_f32),
+        Type::F64 => float_binary_arms!(op, a, b, out, f64_of, of_f64, first_nan_f64),
         Type::Pred => match op {
             BinOp::And => map2(a, b, out, |x, y| u64::from((x != 0) & (y != 0))),
             BinOp::Or => map2(a, b, out, |x, y| u64::from((x != 0) | (y != 0))),
@@ -257,8 +258,7 @@ fn binary_rows_gen(op: BinOp, ty: Type, a: &Row, b: &Row, out: &mut Row) {
 
 /// Whole-row non-SFU [`interp::unary_op`] (`neg`/`abs`/`not`; the
 /// transcendental ops take the scalar SFU fallback in `machine.rs`).
-#[inline(always)]
-fn unary_rows_gen(op: UnOp, ty: Type, a: &Row, out: &mut Row) {
+pub fn unary_rows(op: UnOp, ty: Type, a: &Row, out: &mut Row) {
     match ty {
         Type::U32 | Type::S32 => match op {
             UnOp::Neg => map1(a, out, |v| (v as i32).wrapping_neg() as u32 as u64),
@@ -289,8 +289,7 @@ fn unary_rows_gen(op: UnOp, ty: Type, a: &Row, out: &mut Row) {
 /// Whole-row [`interp::mad_op`]: integer mad is mul-then-add with the
 /// type's wrapping semantics; float mad is a fused `mul_add`, exactly
 /// as on the scalar path.
-#[inline(always)]
-fn mad_rows_gen(ty: Type, a: &Row, b: &Row, c: &Row, out: &mut Row) {
+pub fn mad_rows(ty: Type, a: &Row, b: &Row, c: &Row, out: &mut Row) {
     match ty {
         Type::F32 => map3(a, b, c, out, |x, y, z| {
             of_f32(crat_ptx::eval::fma_f32(f32_of(x), f32_of(y), f32_of(z)))
@@ -323,8 +322,7 @@ macro_rules! cmp_arms {
 }
 
 /// Whole-row [`interp::cmp_op`], writing `1`/`0` predicates.
-#[inline(always)]
-fn setp_rows_gen(cmp: CmpOp, ty: Type, a: &Row, b: &Row, out: &mut Row) {
+pub fn setp_rows(cmp: CmpOp, ty: Type, a: &Row, b: &Row, out: &mut Row) {
     match ty {
         Type::U32 => cmp_arms!(cmp, a, b, out, |v: u64| v as u32),
         Type::S32 => cmp_arms!(cmp, a, b, out, |v: u64| v as u32 as i32),
@@ -339,8 +337,7 @@ fn setp_rows_gen(cmp: CmpOp, ty: Type, a: &Row, b: &Row, out: &mut Row) {
 /// Whole-row `selp`: `out[k] = truncate(ty, if pred[k] != 0 { a[k] }
 /// else { b[k] })` (the scalar path truncates the operands before the
 /// select; selecting first and truncating after is the same value).
-#[inline(always)]
-fn selp_rows_gen(ty: Type, a: &Row, b: &Row, pred: &Row, out: &mut Row) {
+pub fn selp_rows(ty: Type, a: &Row, b: &Row, pred: &Row, out: &mut Row) {
     match ty {
         Type::U32 | Type::S32 | Type::F32 => map3(a, b, pred, out, |x, y, p| {
             (if p != 0 { x } else { y }) & 0xFFFF_FFFF
@@ -354,10 +351,9 @@ fn selp_rows_gen(ty: Type, a: &Row, b: &Row, pred: &Row, out: &mut Row) {
 
 /// Whole-row [`interp::cvt_op`]: the `(dst_ty, src_ty)` pair is matched
 /// once, then one chunked loop converts all lanes.
-#[inline(always)]
-fn cvt_rows_gen(dst_ty: Type, src_ty: Type, a: &Row, out: &mut Row) {
+pub fn cvt_rows(dst_ty: Type, src_ty: Type, a: &Row, out: &mut Row) {
     match (src_ty, dst_ty) {
-        (s, d) if s == d => trunc_rows_gen(d, a, out),
+        (s, d) if s == d => trunc_rows(d, a, out),
         (Type::U32, Type::U64) => map1(a, out, |v| v & 0xFFFF_FFFF),
         (Type::S32, Type::U64) => map1(a, out, |v| (v as u32 as i32) as i64 as u64),
         (Type::U64, Type::U32)
@@ -381,40 +377,17 @@ fn cvt_rows_gen(dst_ty: Type, src_ty: Type, a: &Row, out: &mut Row) {
         (Type::Pred, d) => {
             let mut norm = [0u64; WARP];
             map1(a, &mut norm, |v| u64::from(v != 0));
-            trunc_rows_gen(d, &norm, out);
+            trunc_rows(d, &norm, out);
         }
         (s, Type::Pred) => {
             let mut norm = [0u64; WARP];
-            trunc_rows_gen(s, a, &mut norm);
+            trunc_rows(s, a, &mut norm);
             map1(&norm, out, |v| u64::from(v != 0));
         }
         // Unreachable (same-type pairs hit the guard arm), mirrored
         // from the scalar match to stay exhaustive.
-        (_, d) => trunc_rows_gen(d, a, out),
+        (_, d) => trunc_rows(d, a, out),
     }
-}
-
-multiversioned! {
-    /// Commit `tmp` into `dst` under `mask` (see [`blend_gen`]).
-    pub fn blend => blend_gen(dst: &mut Row, tmp: &Row, mask: u32);
-    /// Non-zero lanes of `row` as a bit mask (see [`nonzero_mask_gen`]).
-    pub fn nonzero_mask => nonzero_mask_gen(row: &Row) -> u32;
-    /// Wrapping `base + imm` per lane (see [`add_imm_rows_gen`]).
-    pub fn add_imm_rows => add_imm_rows_gen(base: &Row, imm: u64, out: &mut Row);
-    /// Per-lane width truncation (see [`trunc_rows_gen`]).
-    pub fn trunc_rows => trunc_rows_gen(ty: Type, a: &Row, out: &mut Row);
-    /// Whole-row binary op (see [`binary_rows_gen`]).
-    pub fn binary_rows => binary_rows_gen(op: BinOp, ty: Type, a: &Row, b: &Row, out: &mut Row);
-    /// Whole-row non-SFU unary op (see [`unary_rows_gen`]).
-    pub fn unary_rows => unary_rows_gen(op: UnOp, ty: Type, a: &Row, out: &mut Row);
-    /// Whole-row multiply-add (see [`mad_rows_gen`]).
-    pub fn mad_rows => mad_rows_gen(ty: Type, a: &Row, b: &Row, c: &Row, out: &mut Row);
-    /// Whole-row compare, writing `1`/`0` (see [`setp_rows_gen`]).
-    pub fn setp_rows => setp_rows_gen(cmp: CmpOp, ty: Type, a: &Row, b: &Row, out: &mut Row);
-    /// Whole-row predicated select (see [`selp_rows_gen`]).
-    pub fn selp_rows => selp_rows_gen(ty: Type, a: &Row, b: &Row, pred: &Row, out: &mut Row);
-    /// Whole-row type conversion (see [`cvt_rows_gen`]).
-    pub fn cvt_rows => cvt_rows_gen(dst_ty: Type, src_ty: Type, a: &Row, out: &mut Row);
 }
 
 #[cfg(test)]
@@ -451,8 +424,15 @@ mod tests {
 
     #[test]
     fn binary_rows_match_scalar_semantics() {
-        let a = patterned_row(1);
-        let b = patterned_row(2);
+        let mut a = patterned_row(1);
+        let mut b = patterned_row(2);
+        // Lanes where both operands are NaN with different payloads
+        // (f32 in lane 6, f64 in lane 8): the scalar path returns the
+        // first one, quieted. Only optimized builds vectorize the rows,
+        // so only `cargo test --release` can see a swapped operand.
+        b[6] = 0xFFE5_03C9;
+        a[8] = 0x7FF4_0000_0000_0001;
+        b[8] = 0xFFF8_0000_0000_1234;
         for ty in ALL_TYPES {
             for op in [
                 BinOp::Add,

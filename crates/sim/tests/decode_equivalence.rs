@@ -52,11 +52,7 @@ fn assert_identical(
 /// ... at several operating points: each scheduler, capped and
 /// uncapped TLP, and two register budgets.
 fn assert_identical_everywhere(kernel: &crat_ptx::Kernel, launch: &LaunchConfig) {
-    for sched in [
-        SchedulerKind::Gto,
-        SchedulerKind::Lrr,
-        SchedulerKind::TwoLevel,
-    ] {
+    for sched in [SchedulerKind::Gto, SchedulerKind::Lrr] {
         let mut cfg = GpuConfig::fermi();
         cfg.scheduler = sched;
         for tlp in [None, Some(1), Some(3)] {
@@ -626,7 +622,7 @@ proptest! {
         let launch = LaunchConfig::new(4, 64)
             .with_param("inp", 0x10_0000)
             .with_param("out", 0x20_0000);
-        for sched in [SchedulerKind::Gto, SchedulerKind::Lrr, SchedulerKind::TwoLevel] {
+        for sched in [SchedulerKind::Gto, SchedulerKind::Lrr] {
             let mut cfg = GpuConfig::fermi();
             cfg.scheduler = sched;
             for tlp in [None, Some(1)] {
@@ -659,7 +655,7 @@ proptest! {
         let launch = LaunchConfig::new(4, 64)
             .with_param("inp", 0x10_0000)
             .with_param("out", 0x20_0000);
-        for sched in [SchedulerKind::Gto, SchedulerKind::Lrr, SchedulerKind::TwoLevel] {
+        for sched in [SchedulerKind::Gto, SchedulerKind::Lrr] {
             let mut cfg = GpuConfig::fermi();
             cfg.scheduler = sched;
             for tlp in [None, Some(2)] {

@@ -56,11 +56,7 @@ fn disabled_bank_model_is_bit_identical_to_the_reference() {
 
 #[test]
 fn enabled_bank_model_matches_the_reference_across_schedulers() {
-    for sched in [
-        SchedulerKind::Gto,
-        SchedulerKind::Lrr,
-        SchedulerKind::TwoLevel,
-    ] {
+    for sched in [SchedulerKind::Gto, SchedulerKind::Lrr] {
         let mut gpu = banked(2);
         gpu.scheduler = sched;
         // Shared-memory-heavy apps: barrier apps stage through shared

@@ -23,12 +23,8 @@ fn every_app_matches_the_reference_interpreter() {
 
 #[test]
 fn scheduler_variants_match_the_reference_interpreter() {
-    // A smaller slice of the suite across all scheduler policies.
-    for sched in [
-        SchedulerKind::Gto,
-        SchedulerKind::Lrr,
-        SchedulerKind::TwoLevel,
-    ] {
+    // A smaller slice of the suite under both scheduler policies.
+    for sched in [SchedulerKind::Gto, SchedulerKind::Lrr] {
         let mut gpu = GpuConfig::fermi();
         gpu.scheduler = sched;
         for abbr in ["CFD", "KMN", "FDTD", "BAK"] {
@@ -38,6 +34,21 @@ fn scheduler_variants_match_the_reference_interpreter() {
             let new = simulate_capture(&kernel, &gpu, &launch, 18, None);
             let old = reference::simulate_capture(&kernel, &gpu, &launch, 18, None);
             assert_eq!(new, old, "app {abbr} diverges under {sched:?}");
+        }
+        // Block turnover: four blocks on the simulated SM with at most
+        // one or two resident, so an Exit retires a block and its slot
+        // relaunches mid-scan (HST adds barriers).
+        for abbr in ["KMN", "HST"] {
+            let app = suite::spec(abbr);
+            let kernel = build_kernel(app);
+            let launch = launch_sized(app, 4 * gpu.num_sms);
+            for tlp in [Some(1), Some(2)] {
+                let new = simulate_capture(&kernel, &gpu, &launch, 21, tlp);
+                let old = reference::simulate_capture(&kernel, &gpu, &launch, 21, tlp);
+                let blocks = new.as_ref().map_or(0, |(s, _)| s.blocks);
+                assert_eq!(blocks, 4, "app {abbr} ({sched:?}, tlp {tlp:?})");
+                assert_eq!(new, old, "app {abbr} diverges ({sched:?}, tlp {tlp:?})");
+            }
         }
         // The scheduler-overhead microkernels: a sole warp issuing
         // straight-line ALU (TLP 1), and a dependent-load stall storm
@@ -78,11 +89,7 @@ fn reservation_storms_match_the_reference_interpreter() {
         ("l1.mshrs=2", starved_l1),
         ("bypass, l2.mshrs=4", starved_bypass),
     ] {
-        for sched in [
-            SchedulerKind::Gto,
-            SchedulerKind::Lrr,
-            SchedulerKind::TwoLevel,
-        ] {
+        for sched in [SchedulerKind::Gto, SchedulerKind::Lrr] {
             let mut gpu = base.clone();
             gpu.scheduler = sched;
             for abbr in ["CFD", "STE", "SPMV", "KMN"] {
