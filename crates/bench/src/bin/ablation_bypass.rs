@@ -6,15 +6,16 @@
 //! spill traffic; this measures CRAT with and without it.
 
 use crat_bench::{
-    csv_flag,
+    csv_flag, engine,
     table::{f2, Table},
 };
-use crat_core::{evaluate, Technique};
+use crat_core::{evaluate_with, Technique};
 use crat_sim::GpuConfig;
 use crat_workloads::{build_kernel, launch_sized, suite};
 
 fn main() {
     let csv = csv_flag();
+    let engine = engine();
     let normal = GpuConfig::fermi();
     let mut bypass = GpuConfig::fermi();
     bypass.l1_bypass_global = true;
@@ -31,9 +32,9 @@ fn main() {
         let app = suite::spec(abbr);
         let kernel = build_kernel(app);
         let launch = launch_sized(app, app.grid_blocks);
-        let opt = evaluate(&kernel, &normal, &launch, Technique::OptTlp).unwrap();
-        let crat = evaluate(&kernel, &normal, &launch, Technique::Crat).unwrap();
-        let crat_b = evaluate(&kernel, &bypass, &launch, Technique::Crat).unwrap();
+        let opt = evaluate_with(engine, &kernel, &normal, &launch, Technique::OptTlp).unwrap();
+        let crat = evaluate_with(engine, &kernel, &normal, &launch, Technique::Crat).unwrap();
+        let crat_b = evaluate_with(engine, &kernel, &bypass, &launch, Technique::Crat).unwrap();
         t.row(vec![
             abbr.into(),
             opt.stats.cycles.to_string(),
@@ -47,4 +48,5 @@ fn main() {
     println!("\nBypassing helps exactly the cache-thrashing apps (KMN, SPMV) by keeping their");
     println!("streams out of the L1, and mildly hurts the locality-friendly ones — the same");
     println!("selectivity the companion bypassing papers exploit. The techniques compose.");
+    crat_bench::print_engine_stats(csv);
 }

@@ -43,4 +43,5 @@ fn main() {
     t.print(csv);
     println!("\nThe generator emits fairly tight code, so the passes mostly tidy the");
     println!("prologue; on hand-written PTX (see `crat optimize --prepass`) they matter more.");
+    crat_bench::print_engine_stats(csv);
 }

@@ -7,17 +7,17 @@
 //! 4. TPSC choice quality vs a simulation oracle over the candidates.
 
 use crat_bench::{
-    csv_flag,
+    csv_flag, engine,
     table::{f2, Table},
 };
-use crat_core::engine::simulate;
-use crat_core::{optimize, CratOptions, OptTlpSource, Technique};
+use crat_core::{evaluate_with, optimize_with, CratOptions, Technique};
 use crat_sim::{GpuConfig, SchedulerKind};
 use crat_workloads::{build_kernel, launch_sized, suite};
 
 fn main() {
     let csv = csv_flag();
     let gpu = GpuConfig::fermi();
+    let engine = engine();
 
     // 1. Scheduler ablation.
     println!("1) GTO vs LRR (cycles at MaxTLP):\n");
@@ -26,10 +26,12 @@ fn main() {
         let app = suite::spec(abbr);
         let kernel = build_kernel(app);
         let launch = launch_sized(app, 60);
-        let gto = simulate(&kernel, &gpu, &launch, 21, None).unwrap();
+        let gto = engine.simulate(&kernel, &gpu, &launch, 21, None).unwrap();
         let mut lrr_cfg = gpu.clone();
         lrr_cfg.scheduler = SchedulerKind::Lrr;
-        let lrr = simulate(&kernel, &lrr_cfg, &launch, 21, None).unwrap();
+        let lrr = engine
+            .simulate(&kernel, &lrr_cfg, &launch, 21, None)
+            .unwrap();
         t.row(vec![
             abbr.into(),
             gto.cycles.to_string(),
@@ -53,18 +55,19 @@ fn main() {
         let app = suite::spec(abbr);
         let kernel = build_kernel(app);
         let launch = launch_sized(app, app.grid_blocks);
-        let sol = optimize(&kernel, &gpu, &launch, &CratOptions::new()).unwrap();
+        let sol = optimize_with(engine, &kernel, &gpu, &launch, &CratOptions::new()).unwrap();
         let mut best: Option<(usize, u64)> = None;
         let mut cycles = Vec::new();
         for (i, c) in sol.candidates.iter().enumerate() {
-            let s = simulate(
-                &c.allocation.kernel,
-                &gpu,
-                &launch,
-                c.allocation.slots_used,
-                Some(c.achieved_tlp),
-            )
-            .unwrap();
+            let s = engine
+                .simulate(
+                    &c.allocation.kernel,
+                    &gpu,
+                    &launch,
+                    c.allocation.slots_used,
+                    Some(c.achieved_tlp),
+                )
+                .unwrap();
             cycles.push(s.cycles);
             if best.is_none_or(|(_, b)| s.cycles < b) {
                 best = Some((i, s.cycles));
@@ -91,8 +94,8 @@ fn main() {
         let app = suite::spec(abbr);
         let kernel = build_kernel(app);
         let launch = launch_sized(app, app.grid_blocks);
-        let local = crat_core::evaluate(&kernel, &gpu, &launch, Technique::CratLocal).unwrap();
-        let full = crat_core::evaluate(&kernel, &gpu, &launch, Technique::Crat).unwrap();
+        let local = evaluate_with(engine, &kernel, &gpu, &launch, Technique::CratLocal).unwrap();
+        let full = evaluate_with(engine, &kernel, &gpu, &launch, Technique::Crat).unwrap();
         t.row(vec![
             abbr.into(),
             local.stats.cycles.to_string(),
@@ -101,7 +104,5 @@ fn main() {
         ]);
     }
     t.print(csv);
-
-    // Keep OptTlpSource referenced for readers exploring the API.
-    let _ = OptTlpSource::Profiled;
+    crat_bench::print_engine_stats(csv);
 }

@@ -4,10 +4,9 @@
 //! spills.
 
 use crat_bench::{
-    csv_flag,
+    csv_flag, engine,
     table::{f2, Table},
 };
-use crat_core::engine::simulate;
 use crat_regalloc::{allocate, AllocOptions, ShmSpillConfig, SpillSplit};
 use crat_sim::GpuConfig;
 use crat_workloads::{build_kernel, launch_sized, suite};
@@ -15,6 +14,7 @@ use crat_workloads::{build_kernel, launch_sized, suite};
 fn main() {
     let csv = csv_flag();
     let gpu = GpuConfig::fermi();
+    let engine = engine();
     let strategies = [
         ("by-type", SpillSplit::ByType),
         ("by-width", SpillSplit::ByWidth),
@@ -52,7 +52,8 @@ fn main() {
                 ]);
                 continue;
             };
-            let stats = simulate(&alloc.kernel, &gpu, &launch, alloc.slots_used, Some(tlp))
+            let stats = engine
+                .simulate(&alloc.kernel, &gpu, &launch, alloc.slots_used, Some(tlp))
                 .expect("simulation");
             let base = *base_cycles.get_or_insert(stats.cycles);
             t.row(vec![
@@ -72,4 +73,5 @@ fn main() {
     println!("type-homogeneous per width), while per-variable splitting is strictly worse —");
     println!("each re-homed sub-stack needs its own lane-interleaved base register, and the");
     println!("added register pressure cascades. This supports the paper's by-type choice.");
+    crat_bench::print_engine_stats(csv);
 }

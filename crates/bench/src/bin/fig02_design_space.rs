@@ -2,12 +2,10 @@
 //! simulated speedup over MaxTLP at every feasible point.
 
 use crat_bench::{
-    csv_flag,
+    csv_flag, engine,
     table::{f2, Table},
 };
-use crat_core::engine::simulate;
-use crat_core::ALLOC_FLOOR;
-use crat_core::{evaluate, Technique};
+use crat_core::{evaluate_with, Technique, ALLOC_FLOOR};
 use crat_regalloc::{allocate, AllocOptions};
 use crat_sim::{occupancy, GpuConfig};
 use crat_workloads::{build_kernel, launch_sized, suite};
@@ -18,8 +16,10 @@ fn main() {
     let kernel = build_kernel(app);
     let gpu = GpuConfig::fermi();
     let launch = launch_sized(app, app.grid_blocks);
+    let engine = engine();
 
-    let baseline = evaluate(&kernel, &gpu, &launch, Technique::MaxTlp).expect("MaxTLP runs");
+    let baseline =
+        evaluate_with(engine, &kernel, &gpu, &launch, Technique::MaxTlp).expect("MaxTLP runs");
     println!(
         "CFD design space (speedup over MaxTLP = reg {}, TLP {}, {} cycles)\n",
         baseline.reg, baseline.tlp, baseline.stats.cycles
@@ -59,7 +59,8 @@ fn main() {
                 cells.push("-".into());
                 continue;
             }
-            let stats = simulate(&alloc.kernel, &gpu, &launch, alloc.slots_used, Some(tlp))
+            let stats = engine
+                .simulate(&alloc.kernel, &gpu, &launch, alloc.slots_used, Some(tlp))
                 .expect("simulation");
             cells.push(f2(stats.speedup_over(&baseline.stats)));
         }
@@ -70,4 +71,5 @@ fn main() {
     println!(
         "\nPaper: the best point trades registers against TLP (CRAT found (50, 5) on GTX680)."
     );
+    crat_bench::print_engine_stats(csv);
 }

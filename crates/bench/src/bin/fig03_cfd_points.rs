@@ -3,11 +3,10 @@
 //! L1 behaviour, and register utilization.
 
 use crat_bench::{
-    csv_flag,
+    csv_flag, engine,
     table::{f2, pct, Table},
 };
-use crat_core::engine::simulate;
-use crat_core::{analyze, evaluate, Technique};
+use crat_core::{analyze, evaluate_with, Technique};
 use crat_regalloc::{allocate, AllocOptions};
 use crat_sim::{max_regs_for_tlp, GpuConfig};
 use crat_workloads::{build_kernel, launch_sized, suite};
@@ -19,24 +18,26 @@ fn main() {
     let gpu = GpuConfig::fermi();
     let launch = launch_sized(app, app.grid_blocks);
     let usage = analyze(&kernel, &gpu, &launch);
+    let engine = engine();
 
-    let max_tlp = evaluate(&kernel, &gpu, &launch, Technique::MaxTlp).unwrap();
-    let opt_tlp = evaluate(&kernel, &gpu, &launch, Technique::OptTlp).unwrap();
-    let crat = evaluate(&kernel, &gpu, &launch, Technique::Crat).unwrap();
+    let max_tlp = evaluate_with(engine, &kernel, &gpu, &launch, Technique::MaxTlp).unwrap();
+    let opt_tlp = evaluate_with(engine, &kernel, &gpu, &launch, Technique::OptTlp).unwrap();
+    let crat = evaluate_with(engine, &kernel, &gpu, &launch, Technique::Crat).unwrap();
 
     // OptTLP+Reg: keep OptTLP's TLP, raise registers to the stair edge.
     let reg_plus = max_regs_for_tlp(&gpu, opt_tlp.tlp, usage.shm_size, usage.block_size)
         .unwrap_or(usage.default_reg)
         .min(usage.max_reg);
     let alloc_plus = allocate(&kernel, &AllocOptions::new(reg_plus)).expect("allocation");
-    let stats_plus = simulate(
-        &alloc_plus.kernel,
-        &gpu,
-        &launch,
-        alloc_plus.slots_used,
-        Some(opt_tlp.tlp),
-    )
-    .expect("simulation");
+    let stats_plus = engine
+        .simulate(
+            &alloc_plus.kernel,
+            &gpu,
+            &launch,
+            alloc_plus.slots_used,
+            Some(opt_tlp.tlp),
+        )
+        .expect("simulation");
 
     let mut t = Table::new(&["solution", "(reg,TLP)", "speedup", "L1 hit", "reg util"]);
     let util = |reg: u32, tlp: u32| {
@@ -64,4 +65,5 @@ fn main() {
     println!(
         "\nPaper: OptTLP -> OptTLP+Reg -> CRAT progressively improve CFD, CRAT reaching 1.78x."
     );
+    crat_bench::print_engine_stats(csv);
 }

@@ -2,8 +2,7 @@
 //! registers cut the TLP (a), fewer registers add spill instructions
 //! (b).
 
-use crat_bench::{csv_flag, table::Table};
-use crat_core::engine::simulate;
+use crat_bench::{csv_flag, engine, table::Table};
 use crat_regalloc::{allocate, AllocOptions};
 use crat_sim::{occupancy, GpuConfig};
 use crat_workloads::{build_kernel, launch_sized, suite};
@@ -14,6 +13,7 @@ fn main() {
     let kernel = build_kernel(app);
     let gpu = GpuConfig::fermi();
     let launch = launch_sized(app, 60);
+    let engine = engine();
 
     let mut t = Table::new(&[
         "reg/thread",
@@ -33,8 +33,9 @@ fn main() {
             app.block_size,
         )
         .blocks;
-        let stats =
-            simulate(&alloc.kernel, &gpu, &launch, alloc.slots_used, None).expect("simulation");
+        let stats = engine
+            .simulate(&alloc.kernel, &gpu, &launch, alloc.slots_used, None)
+            .expect("simulation");
         t.row(vec![
             alloc.slots_used.to_string(),
             occ.to_string(),
@@ -46,4 +47,5 @@ fn main() {
     t.print(csv);
     println!("\nPaper: TLP falls as registers rise (6a); instruction count falls too, since");
     println!("fewer spills are needed (6b). The tension between the two is CRAT's target.");
+    crat_bench::print_engine_stats(csv);
 }

@@ -4,10 +4,9 @@
 //! (the paper's `var2`) rather than hot ones (`var1`).
 
 use crat_bench::{
-    csv_flag,
+    csv_flag, engine,
     table::{f2, Table},
 };
-use crat_core::engine::simulate;
 use crat_ptx::{Cfg, Liveness};
 use crat_regalloc::{allocate, AllocOptions, ShmSpillConfig, SpillKind};
 use crat_sim::GpuConfig;
@@ -19,6 +18,7 @@ fn main() {
     let kernel = build_kernel(app);
     let gpu = GpuConfig::fermi();
     let launch = launch_sized(app, app.grid_blocks);
+    let engine = engine();
 
     // (a) Performance vs register limit at the app's preferred TLP.
     println!("(a) performance vs register limit (TLP fixed at 2):\n");
@@ -29,12 +29,16 @@ fn main() {
         "speedup vs widest",
     ]);
     let widest = allocate(&kernel, &AllocOptions::new(63)).expect("allocation");
-    let base = simulate(&widest.kernel, &gpu, &launch, widest.slots_used, Some(2)).unwrap();
+    let base = engine
+        .simulate(&widest.kernel, &gpu, &launch, widest.slots_used, Some(2))
+        .unwrap();
     for reg in [63u32, 56, 48, 40, 32, 28] {
         let Ok(alloc) = allocate(&kernel, &AllocOptions::new(reg)) else {
             continue;
         };
-        let stats = simulate(&alloc.kernel, &gpu, &launch, alloc.slots_used, Some(2)).unwrap();
+        let stats = engine
+            .simulate(&alloc.kernel, &gpu, &launch, alloc.slots_used, Some(2))
+            .unwrap();
         ta.row(vec![
             reg.to_string(),
             alloc.slots_used.to_string(),
@@ -95,8 +99,12 @@ fn main() {
             .count()
             .to_string(),
     ]);
-    let st_local = simulate(&local.kernel, &gpu, &launch, local.slots_used, Some(2)).unwrap();
-    let st_shm = simulate(&shm.kernel, &gpu, &launch, shm.slots_used, Some(2)).unwrap();
+    let st_local = engine
+        .simulate(&local.kernel, &gpu, &launch, local.slots_used, Some(2))
+        .unwrap();
+    let st_shm = engine
+        .simulate(&shm.kernel, &gpu, &launch, shm.slots_used, Some(2))
+        .unwrap();
     tb.row(vec![
         "speedup: spill->local".into(),
         f2(st_local.speedup_over(&base)),
@@ -116,4 +124,5 @@ fn main() {
     tb.print(csv);
     println!("\nPaper: spilling the cold var2 to shared memory reached 1.64x, spilling the hot");
     println!("var1 only 1.41x — victims must be low-frequency, and shared beats local.");
+    crat_bench::print_engine_stats(csv);
 }

@@ -4,12 +4,12 @@
 use std::time::Instant;
 
 use crat_bench::{
-    csv_flag, sensitive_apps,
+    csv_flag, engine, sensitive_apps,
     table::{f2, Table},
 };
 use crat_core::{
-    analyze, estimate_opt_tlp, optimize, profile_opt_tlp, CratOptions, OptTlpSource, ALLOC_FLOOR,
-    STATIC_L1_HIT_RATE,
+    analyze, estimate_opt_tlp, optimize_with, profile_opt_tlp_with, CratOptions, OptTlpSource,
+    ALLOC_FLOOR, STATIC_L1_HIT_RATE,
 };
 use crat_regalloc::{allocate, AllocOptions};
 use crat_sim::GpuConfig;
@@ -18,6 +18,7 @@ use crat_workloads::{build_kernel, launch_sized};
 fn main() {
     let csv = csv_flag();
     let gpu = GpuConfig::fermi();
+    let engine = engine();
 
     let mut t = Table::new(&[
         "app",
@@ -39,8 +40,8 @@ fn main() {
         .expect("allocation");
 
         let t0 = Instant::now();
-        let profile =
-            profile_opt_tlp(&alloc.kernel, &gpu, &launch, alloc.slots_used).expect("profiling");
+        let profile = profile_opt_tlp_with(engine, &alloc.kernel, &gpu, &launch, alloc.slots_used)
+            .expect("profiling");
         let profiling_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let t1 = Instant::now();
@@ -54,7 +55,8 @@ fn main() {
         let static_ms = t1.elapsed().as_secs_f64() * 1e3;
 
         let t2 = Instant::now();
-        let _ = optimize(
+        let _ = optimize_with(
+            engine,
             &kernel,
             &gpu,
             &launch,
@@ -89,4 +91,5 @@ fn main() {
     println!("\nPaper: profiling took ~1.8h of GPGPU-Sim time (1.94 ms on hardware) per app;");
     println!("static analysis ~1 ms; exploration negligible (§7.7). The shape to match:");
     println!("static analysis is orders of magnitude cheaper than simulator profiling.");
+    crat_bench::print_engine_stats(csv);
 }

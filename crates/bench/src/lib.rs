@@ -10,6 +10,8 @@
 
 pub mod table;
 
+use std::sync::OnceLock;
+
 use crat_core::{evaluate_with, CratError, EvalEngine, Evaluation, Technique};
 use crat_sim::{GpuConfig, StallCause};
 use crat_workloads::{build_kernel, launch_sized, suite, AppSpec};
@@ -43,23 +45,9 @@ impl AppRun {
 }
 
 /// Evaluate `techniques` on one app (grid scaled to `grid_blocks`).
-///
-/// # Errors
-///
-/// Propagates the first pipeline failure.
-pub fn run_app(
-    app: &'static AppSpec,
-    gpu: &GpuConfig,
-    grid_blocks: u32,
-    techniques: &[Technique],
-) -> Result<AppRun, CratError> {
-    run_app_with(engine(), app, gpu, grid_blocks, techniques)
-}
-
-/// [`run_app`] on an explicit engine: every technique's simulations go
-/// through the engine's memo cache, so techniques that share operating
-/// points (e.g. `OptTlp` and `Crat` profiling the same default binary)
-/// simulate each point once.
+/// Every technique's simulations go through `engine`'s memo cache, so
+/// techniques that share operating points (e.g. `OptTlp` and `Crat`
+/// profiling the same default binary) simulate each point once.
 ///
 /// # Errors
 ///
@@ -80,7 +68,9 @@ pub fn run_app_with(
     Ok(AppRun { app, evals })
 }
 
-/// Evaluate `techniques` over many apps on the process-wide engine.
+/// Evaluate `techniques` over many apps on the process-wide
+/// [`engine`]: apps fan out across its worker pool and all simulations
+/// share its memo cache.
 ///
 /// # Panics
 ///
@@ -90,21 +80,7 @@ pub fn run_suite(
     gpu: &GpuConfig,
     techniques: &[Technique],
 ) -> Vec<AppRun> {
-    run_suite_with(engine(), apps, gpu, techniques)
-}
-
-/// [`run_suite`] on an explicit engine: apps fan out across the
-/// engine's worker pool and all simulations share its memo cache.
-///
-/// # Panics
-///
-/// Panics if any app fails (experiment binaries want loud failures).
-pub fn run_suite_with(
-    engine: &EvalEngine,
-    apps: &[&'static AppSpec],
-    gpu: &GpuConfig,
-    techniques: &[Technique],
-) -> Vec<AppRun> {
+    let engine = engine();
     engine.par_map(apps, |&app| {
         run_app_with(engine, app, gpu, app.grid_blocks, techniques)
             .unwrap_or_else(|e| panic!("{}: {e}", app.abbr))
@@ -173,13 +149,13 @@ pub fn threads_flag() -> Option<usize> {
     None
 }
 
-/// The process-wide evaluation engine, sized by (in priority order)
-/// `--threads`, `CRAT_THREADS`, then available parallelism.
+/// The experiment binaries' process-wide evaluation engine, built on
+/// first use by [`EvalEngine::from_env`]: sized by (in priority order)
+/// `--threads`, `CRAT_THREADS`, then available parallelism, with the
+/// `CRAT_CACHE_DIR` store attached if set.
 pub fn engine() -> &'static EvalEngine {
-    match threads_flag() {
-        Some(n) => crat_core::engine::configure_global(n),
-        None => crat_core::engine::global(),
-    }
+    static ENGINE: OnceLock<EvalEngine> = OnceLock::new();
+    ENGINE.get_or_init(|| EvalEngine::from_env(threads_flag()))
 }
 
 /// Print the engine's counters after an experiment: a `# engine:`
@@ -218,7 +194,8 @@ mod tests {
     fn attribution_table_has_one_column_per_cause() {
         let app = suite::spec("BAK");
         let gpu = GpuConfig::fermi();
-        let run = run_app(app, &gpu, 30, &[Technique::MaxTlp]).unwrap();
+        let run =
+            run_app_with(&EvalEngine::default(), app, &gpu, 30, &[Technique::MaxTlp]).unwrap();
         let t = attribution_table(std::slice::from_ref(&run), Technique::MaxTlp);
         assert_eq!(t.len(), 1);
         let csv = t.to_csv();
@@ -230,7 +207,8 @@ mod tests {
     fn run_app_produces_requested_techniques() {
         let app = suite::spec("BAK");
         let gpu = GpuConfig::fermi();
-        let run = run_app(app, &gpu, 30, &[Technique::MaxTlp, Technique::OptTlp]).unwrap();
+        let techniques = [Technique::MaxTlp, Technique::OptTlp];
+        let run = run_app_with(&EvalEngine::default(), app, &gpu, 30, &techniques).unwrap();
         assert_eq!(run.evals.len(), 2);
         assert!(run.speedup(Technique::OptTlp, Technique::MaxTlp) > 0.0);
         assert_eq!(run.of(Technique::MaxTlp).technique, Technique::MaxTlp);

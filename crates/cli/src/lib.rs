@@ -433,16 +433,14 @@ fn parse_u64(s: &str, flag: &str) -> Result<u64, CliError> {
 ///
 /// Propagates I/O and pipeline failures with rendered messages.
 pub fn run(cmd: Command) -> Result<String, CliError> {
-    /// The process-wide engine, sized by `--threads` when given, with
-    /// the persistent store attached when `--cache-dir` was given (the
-    /// flag's store replaces any `CRAT_CACHE_DIR` attachment, so the
-    /// explicit flag wins). Unlike the silent env path, a store that
-    /// was requested explicitly and cannot be opened is an error.
-    fn engine_for(opts: &CommonOpts) -> Result<&'static EvalEngine, CliError> {
-        let engine = match opts.threads {
-            Some(n) => crat_core::engine::configure_global(n),
-            None => crat_core::engine::global(),
-        };
+    /// This command's engine ([`EvalEngine::from_env`]), sized by
+    /// `--threads` when given, with the persistent store attached when
+    /// `--cache-dir` was given (the flag's store replaces any
+    /// `CRAT_CACHE_DIR` attachment, so the explicit flag wins). Unlike
+    /// the silent env path, a store that was requested explicitly and
+    /// cannot be opened is an error.
+    fn engine_for(opts: &CommonOpts) -> Result<EvalEngine, CliError> {
+        let engine = EvalEngine::from_env(opts.threads);
         if let Some(dir) = &opts.cache_dir {
             let mut config = crat_core::StoreConfig::new(dir);
             config.byte_limit = opts.cache_limit;
@@ -531,11 +529,11 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 ..CratOptions::new()
             };
             let baseline =
-                evaluate_with_options(engine, &kernel, &gpu, &launch, Technique::OptTlp, &copts)
+                evaluate_with_options(&engine, &kernel, &gpu, &launch, Technique::OptTlp, &copts)
                     .map_err(|e| tool_error("OptTLP failed", &e))?;
             let mut points = Vec::new();
             for t in [Technique::MaxTlp, Technique::OptTlp, Technique::Crat] {
-                let e = evaluate_with_options(engine, &kernel, &gpu, &launch, t, &copts)
+                let e = evaluate_with_options(&engine, &kernel, &gpu, &launch, t, &copts)
                     .map_err(|err| tool_error(&format!("{t} failed"), &err))?;
                 let _ = writeln!(
                     out,
@@ -555,8 +553,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     stats: e.stats,
                 });
             }
-            let _ = writeln!(out, "  {}", engine_line(engine));
-            emit_metrics(&opts, &points, engine)?;
+            let _ = writeln!(out, "  {}", engine_line(&engine));
+            emit_metrics(&opts, &points, &engine)?;
             Ok(out)
         }
         Command::Analyze { file, opts } => {
@@ -626,7 +624,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 copts.shm_spill = false;
             }
             let gpu = opts.effective_gpu();
-            let solution = optimize_with(engine, &kernel, &gpu, &launch, &copts)
+            let solution = optimize_with(&engine, &kernel, &gpu, &launch, &copts)
                 .map_err(|e| tool_error("optimization failed", &e))?;
             let _ = writeln!(
                 report,
@@ -696,7 +694,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 winner.achieved_tlp,
                 winner.allocation.kernel.num_regs()
             );
-            let _ = writeln!(report, "{}", engine_line(engine));
+            let _ = writeln!(report, "{}", engine_line(&engine));
             let text = winner.allocation.kernel.to_ptx();
             emit(output.as_deref(), &text)?;
             Ok(if output.is_some() {
@@ -747,7 +745,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 tlp: tlp.unwrap_or(0),
                 stats,
             }];
-            emit_metrics(&opts, &points, engine)?;
+            emit_metrics(&opts, &points, &engine)?;
             Ok(out)
         }
     }
@@ -990,14 +988,11 @@ mod tests {
     fn cache_dir_flag_attaches_and_persists() {
         let dir = std::env::temp_dir().join(format!("crat-cli-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // Grid 29 is unique to this test: the global engine's memo
-        // cache is shared across tests in this binary, and only
-        // uncached (owner-path) requests consult the store.
         let cmd = parse_args(&s(&[
             "app",
             "BAK",
             "--grid",
-            "29",
+            "30",
             "--cache-dir",
             dir.to_str().unwrap(),
         ]))
@@ -1010,9 +1005,6 @@ mod tests {
         // The run persisted records under the cache dir.
         let store = crat_core::ResultStore::open(crat_core::StoreConfig::new(&dir)).unwrap();
         assert!(store.record_count() > 0);
-        // Detach from the shared global engine so concurrent tests in
-        // this binary stop writing here, then clean up best-effort.
-        let _ = crat_core::engine::global().detach_store();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

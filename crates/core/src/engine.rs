@@ -12,8 +12,8 @@
 //! * **parallelizes** batches of independent simulations over a
 //!   bounded pool of scoped worker threads (width from
 //!   [`std::thread::available_parallelism`], overridable via
-//!   [`EvalEngine::new`], the `CRAT_THREADS` environment variable, or
-//!   the experiment binaries' `--threads` flag);
+//!   [`EvalEngine::new`] or, through [`EvalEngine::from_env`], the
+//!   `CRAT_THREADS` environment variable);
 //! * **decodes once**: kernels are lowered to [`DecodedKernel`]s in a
 //!   second cache keyed by the kernel-only structural hash, so a TLP
 //!   or register sweep over one binary pays validation and lowering a
@@ -36,7 +36,8 @@
 //!   instructions, panics caught, and budgets exceeded;
 //! * **persists** (optionally): with a [`ResultStore`] attached
 //!   ([`attach_store`](EvalEngine::attach_store), the CLI's
-//!   `--cache-dir`, or `CRAT_CACHE_DIR`), memoizable results are also
+//!   `--cache-dir`, or `CRAT_CACHE_DIR` through
+//!   [`from_env`](EvalEngine::from_env)), memoizable results are also
 //!   written to a crash-safe on-disk store keyed by the same
 //!   structural hash, and owner-path misses consult the store before
 //!   simulating — a warm restart replays a sweep from disk,
@@ -350,7 +351,7 @@ impl EngineStats {
 
     /// Fraction of requests served without executing a simulation
     /// (memo cache or persistent store); 0 when idle — guarded against
-    /// divide-by-zero on a freshly-reset engine.
+    /// divide-by-zero on a fresh engine.
     pub fn hit_rate(&self) -> f64 {
         let total = self.requests();
         if total == 0 {
@@ -499,6 +500,31 @@ impl EvalEngine {
         EvalEngine::new(1)
     }
 
+    /// An engine configured from the environment: `threads` workers if
+    /// given, else `CRAT_THREADS` if set to a positive integer, else
+    /// the machine's available parallelism; with the persistent store
+    /// `CRAT_CACHE_DIR` / `CRAT_CACHE_LIMIT` request attached, if any.
+    /// A store that fails to open is skipped silently — persistence is
+    /// an optimization and an env var must not break an unrelated run;
+    /// the CLI surfaces open errors when a store is requested
+    /// explicitly via `--cache-dir`.
+    pub fn from_env(threads: Option<usize>) -> EvalEngine {
+        let threads = threads.unwrap_or_else(|| {
+            std::env::var("CRAT_THREADS")
+                .ok()
+                .and_then(|s| s.trim().parse::<usize>().ok())
+                .filter(|&n| n >= 1)
+                .unwrap_or(0)
+        });
+        let engine = EvalEngine::new(threads);
+        if let Some(config) = StoreConfig::from_env() {
+            if let Ok(store) = ResultStore::open(config) {
+                let _ = engine.attach_store(Arc::new(store));
+            }
+        }
+        engine
+    }
+
     /// The worker-pool width.
     pub fn threads(&self) -> usize {
         self.threads
@@ -512,12 +538,6 @@ impl EvalEngine {
     /// `CRAT_CACHE_DIR` environment attachment.
     pub fn attach_store(&self, store: Arc<ResultStore>) -> Option<Arc<ResultStore>> {
         lock(&self.store).replace(store)
-    }
-
-    /// Detach the persistent store (records stay on disk), returning
-    /// it.
-    pub fn detach_store(&self) -> Option<Arc<ResultStore>> {
-        lock(&self.store).take()
     }
 
     /// The attached persistent store, if any.
@@ -564,21 +584,6 @@ impl EvalEngine {
     /// Number of distinct kernels in the allocation-context cache.
     pub fn alloc_ctx_len(&self) -> usize {
         lock(&self.alloc_ctx).len()
-    }
-
-    /// Drop all cached results, decoded kernels, allocation contexts
-    /// and default allocations, and zero the counters — including the
-    /// attached store's counters, though the store stays attached and
-    /// its records stay on disk.
-    pub fn reset(&self) {
-        if let Some(store) = self.store() {
-            store.reset_counters();
-        }
-        lock(&self.cache).clear();
-        lock(&self.decoded).clear();
-        lock(&self.alloc_ctx).clear();
-        lock(&self.default_alloc).clear();
-        *lock(&self.counters) = EngineStats::default();
     }
 
     /// Fetch (or build) the shared allocation analysis for `kernel`,
@@ -944,69 +949,6 @@ fn hardware_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Worker-pool width requested by the environment: `CRAT_THREADS` if
-/// set to a positive integer, otherwise the machine's available
-/// parallelism.
-pub fn threads_from_env() -> usize {
-    std::env::var("CRAT_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(hardware_threads)
-}
-
-static GLOBAL: OnceLock<EvalEngine> = OnceLock::new();
-
-/// Build an engine and attach the persistent store requested by the
-/// environment (`CRAT_CACHE_DIR` / `CRAT_CACHE_LIMIT`), if any. A
-/// store that fails to open is skipped silently — persistence is an
-/// optimization and an env var must not break an unrelated run; the
-/// CLI layer surfaces open errors when a store is requested
-/// explicitly via `--cache-dir`.
-fn engine_from_env(threads: usize) -> EvalEngine {
-    let engine = EvalEngine::new(threads);
-    if let Some(config) = StoreConfig::from_env() {
-        if let Ok(store) = ResultStore::open(config) {
-            let _ = engine.attach_store(Arc::new(store));
-        }
-    }
-    engine
-}
-
-/// The process-wide shared engine (one memo cache per process). The
-/// first caller fixes the pool width — either [`configure_global`] or,
-/// lazily, [`threads_from_env`] — and the environment's persistent
-/// store, if `CRAT_CACHE_DIR` is set.
-pub fn global() -> &'static EvalEngine {
-    GLOBAL.get_or_init(|| engine_from_env(threads_from_env()))
-}
-
-/// Fix the global engine's pool width (`0` = available parallelism)
-/// before anything else uses it. Returns the engine; if the global
-/// engine already exists its width is left unchanged.
-pub fn configure_global(threads: usize) -> &'static EvalEngine {
-    GLOBAL.get_or_init(|| engine_from_env(threads))
-}
-
-/// Simulate through the process-wide engine. Argument-compatible with
-/// [`crat_sim::simulate`] so call sites can switch by changing one
-/// import; the simulator's error arrives wrapped in
-/// [`CratError::Sim`].
-///
-/// # Errors
-///
-/// Whatever the underlying simulation returns; see
-/// [`EvalEngine::simulate`].
-pub fn simulate(
-    kernel: &Kernel,
-    gpu: &GpuConfig,
-    launch: &LaunchConfig,
-    regs_per_thread: u32,
-    tlp_cap: Option<u32>,
-) -> Result<SimStats, CratError> {
-    global().simulate(kernel, gpu, launch, regs_per_thread, tlp_cap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1287,8 +1229,6 @@ mod tests {
         assert_eq!(engine.decoded_len(), 1);
         assert!(stats.sim_cycles > 0);
         assert!(stats.sim_insts > 0);
-        engine.reset();
-        assert_eq!(engine.decoded_len(), 0);
     }
 
     #[test]
@@ -1321,9 +1261,6 @@ mod tests {
         let c = engine.alloc_context(&other);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(engine.alloc_ctx_len(), 2);
-        engine.reset();
-        assert_eq!(engine.alloc_ctx_len(), 0);
-        assert_eq!(engine.stats(), EngineStats::default());
     }
 
     #[test]
@@ -1346,36 +1283,18 @@ mod tests {
         );
         let c = engine.default_allocation(&k, 24, || briggs(24)).unwrap();
         assert!(!Arc::ptr_eq(&a, &c), "the budget is keyed");
-        engine.reset();
-        let mut rebuilt = false;
-        let _ = engine.default_allocation(&k, 21, || {
-            rebuilt = true;
-            briggs(21)
-        });
-        assert!(rebuilt, "reset drops the memo");
     }
 
     #[test]
-    fn reset_clears_cache_and_counters() {
-        let (k, gpu, launch) = setup();
-        let engine = EvalEngine::serial();
-        engine.simulate(&k, &gpu, &launch, 16, Some(1)).unwrap();
-        engine.reset();
-        assert_eq!(engine.stats(), EngineStats::default());
-        assert_eq!(engine.cache_len(), 0);
-    }
-
-    #[test]
-    fn hit_rates_are_guarded_on_fresh_and_reset_engines() {
-        // Satellite 1: a freshly-reset engine has zero requests, and
-        // both rates must read 0 instead of dividing by zero.
+    fn hit_rates_are_guarded_on_a_fresh_engine() {
+        // A fresh engine has zero requests, and both rates must read 0
+        // instead of dividing by zero.
         let fresh = EngineStats::default();
         assert_eq!(fresh.requests(), 0);
         assert_eq!(fresh.hit_rate(), 0.0);
         assert_eq!(fresh.store_lookups(), 0);
         assert_eq!(fresh.store_hit_rate(), 0.0);
         let engine = EvalEngine::serial();
-        engine.reset();
         let stats = engine.stats();
         assert_eq!(stats.hit_rate(), 0.0);
         assert_eq!(stats.store_hit_rate(), 0.0);
@@ -1417,17 +1336,6 @@ mod tests {
         assert_eq!(s.requests(), 1);
         assert_eq!(s.hit_rate(), 1.0);
         assert_eq!(s.store_hit_rate(), 1.0);
-
-        // reset() zeroes the store counters but keeps the store
-        // attached and its records on disk.
-        warm_engine.reset();
-        assert_eq!(warm_engine.stats(), EngineStats::default());
-        assert!(warm_engine.has_store());
-        let again = warm_engine
-            .simulate(&k, &gpu, &launch, 16, Some(2))
-            .unwrap();
-        assert_eq!(again, cold);
-        assert_eq!(warm_engine.stats().store_hits, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -7,7 +7,7 @@
 //! 1. **analyzes resource usage** ([`analyze`]): `MaxReg` from live-
 //!    variable analysis, `MinReg` from the architecture, block size,
 //!    `MaxTLP`, and shared-memory usage (paper §4.1);
-//! 2. **finds `OptTLP`** either by profiling ([`profile_opt_tlp`]) or
+//! 2. **finds `OptTLP`** either by profiling ([`profile_opt_tlp_with`]) or
 //!    by static GTO-schedule mimicry ([`estimate_opt_tlp`], Figure 10);
 //! 3. **prunes the design space** ([`prune`]) to the rightmost point
 //!    of each occupancy stair with `TLP ≤ OptTLP` (§4.2, Figure 11);
@@ -17,20 +17,25 @@
 //! 5. **selects** the best tradeoff with the TPSC metric ([`tpsc`],
 //!    §6).
 //!
-//! [`evaluate`] runs the paper's comparison techniques (`MaxTLP`,
+//! [`evaluate_with`] runs the paper's comparison techniques (`MaxTLP`,
 //! `OptTLP`, `CRAT-local`, `CRAT`, `CRAT-static`) end to end on the
 //! simulator.
+//!
+//! Every entry point takes the [`EvalEngine`] that memoizes and
+//! parallelizes its simulations; the caller owns it and decides how
+//! long its memo lives.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use crat_core::{optimize, CratOptions};
+//! use crat_core::{optimize_with, CratOptions, EvalEngine};
 //! use crat_sim::GpuConfig;
 //! use crat_workloads::{build_kernel, launch, suite};
 //!
 //! let app = suite::spec("CFD");
 //! let kernel = build_kernel(app);
-//! let solution = optimize(&kernel, &GpuConfig::fermi(), &launch(app), &CratOptions::new())?;
+//! let engine = EvalEngine::from_env(None);
+//! let solution = optimize_with(&engine, &kernel, &GpuConfig::fermi(), &launch(app), &CratOptions::new())?;
 //! println!("CRAT chose reg={} TLP={}", solution.point().reg, solution.point().tlp);
 //! # Ok::<(), crat_core::CratError>(())
 //! ```
@@ -62,17 +67,16 @@ pub use metrics::{
     MetricsPoint,
 };
 pub use pipeline::{
-    optimize, optimize_oracle, optimize_oracle_with, optimize_with, AllocStrategy, Candidate,
-    CratOptions, CratSolution, OptTlpSource, SkippedPoint, StrategyRoster,
+    optimize_with, AllocStrategy, Candidate, CratOptions, CratSolution, OptTlpSource, SkippedPoint,
+    StrategyRoster,
 };
-pub use profile_tlp::{profile_opt_tlp, profile_opt_tlp_with, TlpProfile};
+pub use profile_tlp::{profile_opt_tlp_with, TlpProfile};
 pub use resource::{analyze, ResourceUsage};
 pub use segments::{segment_kernel, Segment};
 pub use static_tlp::estimate_opt_tlp;
 pub use store::{parse_byte_limit, RecordKey, ResultStore, StoreConfig, StoreStats};
 pub use techniques::{
-    evaluate, evaluate_with, evaluate_with_options, evaluate_with_roster, Evaluation, Technique,
-    STATIC_L1_HIT_RATE,
+    evaluate_with, evaluate_with_options, Evaluation, Technique, STATIC_L1_HIT_RATE,
 };
 pub use tpsc::{tlp_gain, tpsc};
 

@@ -25,7 +25,7 @@ use crat_regalloc::{
 use crat_sim::{occupancy, GpuConfig, LaunchConfig};
 
 use crate::design_space::{prune, DesignPoint};
-use crate::engine::{EvalEngine, SimJob};
+use crate::engine::EvalEngine;
 use crate::profile_tlp::profile_opt_tlp_with;
 use crate::resource::{analyze, ResourceUsage};
 use crate::static_tlp::estimate_opt_tlp;
@@ -57,11 +57,6 @@ pub struct CratOptions {
     /// Enable Algorithm 1 (spilling to spare shared memory). Disabled
     /// gives the paper's `CRAT-local` variant.
     pub shm_spill: bool,
-    /// Per-access cost of local memory in the TPSC spill term; `None`
-    /// derives it from the GPU's latencies.
-    pub cost_local: Option<f64>,
-    /// Per-access cost of shared memory; `None` derives it.
-    pub cost_shm: Option<f64>,
     /// Which allocator strategies compete at each design point.
     pub roster: StrategyRoster,
     /// How the shared-memory layout of re-homed spill sub-stacks is
@@ -77,8 +72,6 @@ impl Default for CratOptions {
         CratOptions {
             opt_tlp: OptTlpSource::Profiled,
             shm_spill: true,
-            cost_local: None,
-            cost_shm: None,
             roster: StrategyRoster::Default,
             shm_layout: LayoutPolicy::Auto,
         }
@@ -415,25 +408,8 @@ fn run_strategy(
     )
 }
 
-/// Run the CRAT pipeline on one kernel.
-///
-/// # Errors
-///
-/// Fails with [`crat_sim::SimError::BadLaunch`] on a launch
-/// [`crat_sim::check_launch`] rejects, if allocation fails at every
-/// candidate, if profiling simulation fails, or if pruning leaves no
-/// candidates.
-pub fn optimize(
-    kernel: &Kernel,
-    gpu: &GpuConfig,
-    launch: &LaunchConfig,
-    opts: &CratOptions,
-) -> Result<CratSolution, CratError> {
-    optimize_with(crate::engine::global(), kernel, gpu, launch, opts)
-}
-
-/// [`optimize`] on an explicit engine. Profiling runs go through the
-/// engine's memo cache and worker pool, and the per-candidate
+/// Run the CRAT pipeline on one kernel. Profiling runs go through
+/// `engine`'s memo cache and worker pool, and the per-candidate
 /// allocation-and-scoring loop fans out across the pool (allocation is
 /// pure CPU work and candidates are independent). Candidate order,
 /// error propagation (lowest failing TLP first), and the TPSC
@@ -441,7 +417,10 @@ pub fn optimize(
 ///
 /// # Errors
 ///
-/// Same as [`optimize`].
+/// Fails with [`crat_sim::SimError::BadLaunch`] on a launch
+/// [`crat_sim::check_launch`] rejects, if allocation fails at every
+/// candidate, if profiling simulation fails, or if pruning leaves no
+/// candidates.
 pub fn optimize_with(
     engine: &EvalEngine,
     kernel: &Kernel,
@@ -451,10 +430,10 @@ pub fn optimize_with(
 ) -> Result<CratSolution, CratError> {
     crat_sim::check_launch(gpu, launch)?;
     let usage = analyze(kernel, gpu, launch);
-    let cost_local = opts
-        .cost_local
-        .unwrap_or_else(|| (gpu.lat.l1_hit + (gpu.lat.l2 + gpu.lat.dram) / 2) as f64);
-    let cost_shm = opts.cost_shm.unwrap_or(gpu.lat.shared as f64);
+    // Per-access costs of local and shared memory in the TPSC spill
+    // term, from the GPU's latencies.
+    let cost_local = (gpu.lat.l1_hit + (gpu.lat.l2 + gpu.lat.dram) / 2) as f64;
+    let cost_shm = gpu.lat.shared as f64;
 
     let opt_tlp = match opts.opt_tlp {
         OptTlpSource::Given(t) => t.clamp(1, usage.max_tlp.max(1)),
@@ -672,83 +651,19 @@ pub fn optimize_with(
     })
 }
 
-/// Like [`optimize`], but select the winner by *simulating every
-/// candidate* instead of ranking with TPSC — the oracle the paper's §6
-/// claims TPSC approximates. Much more expensive (one full simulation
-/// per candidate); used by the ablation experiments.
-///
-/// # Errors
-///
-/// Same as [`optimize`], plus simulation failures on candidates.
-pub fn optimize_oracle(
-    kernel: &Kernel,
-    gpu: &GpuConfig,
-    launch: &LaunchConfig,
-    opts: &CratOptions,
-) -> Result<CratSolution, CratError> {
-    optimize_oracle_with(crate::engine::global(), kernel, gpu, launch, opts)
-}
-
-/// [`optimize_oracle`] on an explicit engine: the per-candidate
-/// simulations are submitted as one batch. Results come back in
-/// candidate order, so the winner (the *earliest* minimum-cycle
-/// candidate) and any propagated error match the serial loop's.
-///
-/// # Errors
-///
-/// Same as [`optimize_oracle`].
-pub fn optimize_oracle_with(
-    engine: &EvalEngine,
-    kernel: &Kernel,
-    gpu: &GpuConfig,
-    launch: &LaunchConfig,
-    opts: &CratOptions,
-) -> Result<CratSolution, CratError> {
-    let mut solution = optimize_with(engine, kernel, gpu, launch, opts)?;
-    let jobs: Vec<SimJob<'_>> = solution
-        .candidates
-        .iter()
-        .map(|c| SimJob {
-            kernel: &c.allocation.kernel,
-            gpu,
-            launch,
-            regs_per_thread: c.allocation.slots_used,
-            tlp_cap: Some(c.achieved_tlp),
-        })
-        .collect();
-    // Graceful degradation: a candidate whose oracle simulation fails
-    // is excluded from selection (recorded in `skipped`) rather than
-    // aborting; only a fully failed batch fails the run.
-    let mut best: Option<(usize, u64)> = None;
-    for (i, result) in engine.simulate_batch(&jobs).into_iter().enumerate() {
-        match result {
-            Ok(stats) => {
-                if best.is_none_or(|(_, b)| stats.cycles < b) {
-                    best = Some((i, stats.cycles));
-                }
-            }
-            Err(reason) => solution.skipped.push(SkippedPoint {
-                point: solution.candidates[i].point,
-                reason,
-            }),
-        }
-    }
-    match best {
-        Some((i, _)) => {
-            solution.chosen = i;
-            Ok(solution)
-        }
-        None => Err(match solution.skipped.into_iter().next() {
-            Some(s) => s.reason,
-            None => CratError::NoCandidates,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crat_workloads::{build_kernel, launch_sized, suite};
+
+    fn optimize(
+        kernel: &Kernel,
+        gpu: &GpuConfig,
+        launch: &LaunchConfig,
+        opts: &CratOptions,
+    ) -> Result<CratSolution, CratError> {
+        optimize_with(&EvalEngine::default(), kernel, gpu, launch, opts)
+    }
 
     #[test]
     fn cfd_chooses_more_registers_than_default() {
@@ -822,33 +737,6 @@ mod tests {
         .unwrap();
         assert_eq!(g.opt_tlp, 2);
         assert!(g.candidates.iter().all(|c| c.point.tlp <= 2));
-    }
-
-    #[test]
-    fn oracle_never_picks_a_slower_candidate_than_tpsc() {
-        let app = suite::spec("FDTD");
-        let kernel = build_kernel(app);
-        let gpu = GpuConfig::fermi();
-        let launch = launch_sized(app, 30);
-        let opts = CratOptions {
-            opt_tlp: OptTlpSource::Given(3),
-            ..CratOptions::new()
-        };
-        let tpsc_sol = optimize(&kernel, &gpu, &launch, &opts).unwrap();
-        let oracle_sol = optimize_oracle(&kernel, &gpu, &launch, &opts).unwrap();
-        let cycles = |s: &CratSolution| {
-            let w = s.winner();
-            crat_sim::simulate(
-                &w.allocation.kernel,
-                &gpu,
-                &launch,
-                w.allocation.slots_used,
-                Some(w.achieved_tlp),
-            )
-            .unwrap()
-            .cycles
-        };
-        assert!(cycles(&oracle_sol) <= cycles(&tpsc_sol));
     }
 
     #[test]

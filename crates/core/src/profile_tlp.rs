@@ -24,7 +24,7 @@ impl TlpProfile {
     /// # Panics
     ///
     /// Panics if the profile is empty (cannot happen for values
-    /// produced by [`profile_opt_tlp`]).
+    /// produced by [`profile_opt_tlp_with`]).
     pub fn best(&self) -> &SimStats {
         match self.runs.iter().find(|(t, _)| *t == self.opt_tlp) {
             Some((_, stats)) => stats,
@@ -35,37 +35,16 @@ impl TlpProfile {
 
 /// Sweep TLP from 1 to the kernel's occupancy limit and return the
 /// fastest level. `regs_per_thread` must match the allocation being
-/// profiled (the paper profiles with the default allocation).
+/// profiled (the paper profiles with the default allocation). The
+/// sweep's runs are independent, so they are submitted to `engine` as
+/// one batch and evaluated concurrently. Results come back in TLP
+/// order, so the winner (the *earliest* strict minimum) and any
+/// propagated error are identical to a serial sweep's.
 ///
 /// # Errors
 ///
 /// [`crat_sim::SimError::BadLaunch`] on a launch
-/// [`crat_sim::check_launch`] rejects; otherwise propagates the first
-/// simulation failure.
-pub fn profile_opt_tlp(
-    kernel: &Kernel,
-    gpu: &GpuConfig,
-    launch: &LaunchConfig,
-    regs_per_thread: u32,
-) -> Result<TlpProfile, CratError> {
-    profile_opt_tlp_with(
-        crate::engine::global(),
-        kernel,
-        gpu,
-        launch,
-        regs_per_thread,
-    )
-}
-
-/// [`profile_opt_tlp`] on an explicit engine: the sweep's runs are
-/// independent, so they are submitted as one batch and evaluated
-/// concurrently. Results come back in TLP order, so the winner (the
-/// *earliest* strict minimum) and any propagated error are identical
-/// to the serial sweep's.
-///
-/// # Errors
-///
-/// As [`profile_opt_tlp`]: a rejected launch, or the first simulation
+/// [`crat_sim::check_launch`] rejects; otherwise the first simulation
 /// failure (lowest failing TLP).
 pub fn profile_opt_tlp_with(
     engine: &EvalEngine,
@@ -112,13 +91,17 @@ mod tests {
     use super::*;
     use crat_workloads::{build_kernel, launch_sized, suite};
 
+    fn profile(k: &Kernel, gpu: &GpuConfig, launch: &LaunchConfig, regs: u32) -> TlpProfile {
+        profile_opt_tlp_with(&EvalEngine::default(), k, gpu, launch, regs).unwrap()
+    }
+
     #[test]
     fn cache_thrasher_prefers_low_tlp() {
         let app = suite::spec("KMN");
         let k = build_kernel(app);
         let gpu = GpuConfig::fermi();
         let launch = launch_sized(app, 60);
-        let p = profile_opt_tlp(&k, &gpu, &launch, 21).unwrap();
+        let p = profile(&k, &gpu, &launch, 21);
         let max_tlp = p.runs.last().unwrap().0;
         assert!(
             p.opt_tlp < max_tlp,
@@ -137,7 +120,7 @@ mod tests {
         let k = build_kernel(app);
         let gpu = GpuConfig::fermi();
         let launch = launch_sized(app, 60);
-        let p = profile_opt_tlp(&k, &gpu, &launch, 16).unwrap();
+        let p = profile(&k, &gpu, &launch, 16);
         // Running at full TLP must be about as fast as the optimum:
         // the app does not benefit from throttling (paper Figure 19).
         let full = &p.runs.last().unwrap().1;
@@ -154,7 +137,7 @@ mod tests {
     fn profile_covers_every_tlp() {
         let app = suite::spec("BAK");
         let k = build_kernel(app);
-        let p = profile_opt_tlp(&k, &GpuConfig::fermi(), &launch_sized(app, 60), 16).unwrap();
+        let p = profile(&k, &GpuConfig::fermi(), &launch_sized(app, 60), 16);
         let tlps: Vec<u32> = p.runs.iter().map(|(t, _)| *t).collect();
         let expected: Vec<u32> = (1..=*tlps.last().unwrap()).collect();
         assert_eq!(tlps, expected);

@@ -55,7 +55,8 @@ impl ResourceUsage {
 ///
 /// If `launch.block_size` is not a positive multiple of the warp size.
 /// Check untrusted launches with [`crat_sim::check_launch`] first, as
-/// [`optimize`](crate::optimize) and [`evaluate`](crate::evaluate) do.
+/// [`optimize_with`](crate::optimize_with) and
+/// [`evaluate_with`](crate::evaluate_with) do.
 pub fn analyze(kernel: &Kernel, gpu: &GpuConfig, launch: &LaunchConfig) -> ResourceUsage {
     let cfg = Cfg::build(kernel);
     let liveness = Liveness::compute(kernel, &cfg);

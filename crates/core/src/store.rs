@@ -491,11 +491,6 @@ impl ResultStore {
         *lock(&self.counters)
     }
 
-    /// Zero the counters (records on disk are untouched).
-    pub fn reset_counters(&self) {
-        *lock(&self.counters) = StoreStats::default();
-    }
-
     fn bump(&self, f: impl FnOnce(&mut StoreStats)) {
         f(&mut lock(&self.counters));
     }

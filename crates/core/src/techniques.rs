@@ -12,9 +12,7 @@ use crat_sim::{
 
 use crate::design_space::ALLOC_FLOOR;
 use crate::engine::EvalEngine;
-use crate::pipeline::{
-    allocate_degraded, optimize_with, CratOptions, OptTlpSource, StrategyRoster,
-};
+use crate::pipeline::{allocate_degraded, optimize_with, CratOptions, OptTlpSource};
 use crate::profile_tlp::profile_opt_tlp_with;
 use crate::resource::analyze;
 use crate::CratError;
@@ -92,29 +90,16 @@ impl Evaluation {
 /// measurement).
 pub const STATIC_L1_HIT_RATE: f64 = 0.6;
 
-/// Run `technique` on `kernel` and simulate the result.
+/// Run `technique` on `kernel` and simulate the result. Every
+/// simulation the technique needs — the final run, the profiling
+/// sweep, CRAT's internal profiling — goes through `engine`'s memo
+/// cache and worker pool, so techniques that share work (e.g. `OptTlp`
+/// and `Crat` profiling the same default binary) pay for it once per
+/// engine.
 ///
 /// # Errors
 ///
-/// Propagates allocation and simulation failures.
-pub fn evaluate(
-    kernel: &Kernel,
-    gpu: &GpuConfig,
-    launch: &LaunchConfig,
-    technique: Technique,
-) -> Result<Evaluation, CratError> {
-    evaluate_with(crate::engine::global(), kernel, gpu, launch, technique)
-}
-
-/// [`evaluate`] on an explicit engine: every simulation the technique
-/// needs — the final run, the profiling sweep, CRAT's internal
-/// profiling — goes through the engine's memo cache and worker pool,
-/// so techniques that share work (e.g. `OptTlp` and `Crat` profiling
-/// the same default binary) pay for it once per process.
-///
-/// # Errors
-///
-/// Propagates allocation and simulation failures.
+/// As [`evaluate_with_options`].
 pub fn evaluate_with(
     engine: &EvalEngine,
     kernel: &Kernel,
@@ -122,44 +107,15 @@ pub fn evaluate_with(
     launch: &LaunchConfig,
     technique: Technique,
 ) -> Result<Evaluation, CratError> {
-    evaluate_with_roster(
-        engine,
-        kernel,
-        gpu,
-        launch,
-        technique,
-        StrategyRoster::Default,
-    )
+    evaluate_with_options(engine, kernel, gpu, launch, technique, &CratOptions::new())
 }
 
-/// [`evaluate_with`] with an explicit allocator-strategy roster for the
-/// CRAT variants. `MaxTlp` and `OptTlp` use the default allocation path
-/// and ignore the roster.
-///
-/// # Errors
-///
-/// Propagates allocation and simulation failures.
-pub fn evaluate_with_roster(
-    engine: &EvalEngine,
-    kernel: &Kernel,
-    gpu: &GpuConfig,
-    launch: &LaunchConfig,
-    technique: Technique,
-    roster: StrategyRoster,
-) -> Result<Evaluation, CratError> {
-    let base = CratOptions {
-        roster,
-        ..CratOptions::new()
-    };
-    evaluate_with_options(engine, kernel, gpu, launch, technique, &base)
-}
-
-/// [`evaluate_with_roster`] with a full base [`CratOptions`] for the
-/// CRAT variants: the roster, spill-layout policy, and cost overrides
-/// come from `base`, while the technique still decides its own OptTLP
-/// source and whether shared-memory spilling runs at all (`CratLocal`
-/// forces it off, `CratStatic` forces the static L1 model). `MaxTlp`
-/// and `OptTlp` use the default allocation path and ignore `base`.
+/// [`evaluate_with`] with a full base [`CratOptions`] for the CRAT
+/// variants: the roster and spill-layout policy come from `base`, while
+/// the technique still decides its own OptTLP source and whether
+/// shared-memory spilling runs at all (`CratLocal` forces it off,
+/// `CratStatic` forces the static L1 model). `MaxTlp` and `OptTlp` use
+/// the default allocation path and ignore `base`.
 ///
 /// # Errors
 ///
@@ -236,16 +192,24 @@ mod tests {
     use super::*;
     use crat_workloads::{build_kernel, launch_sized, suite};
 
-    fn run(abbr: &str, grid: u32, t: Technique) -> Evaluation {
+    fn run(engine: &EvalEngine, abbr: &str, grid: u32, t: Technique) -> Evaluation {
         let app = suite::spec(abbr);
         let kernel = build_kernel(app);
-        evaluate(&kernel, &GpuConfig::fermi(), &launch_sized(app, grid), t).unwrap()
+        evaluate_with(
+            engine,
+            &kernel,
+            &GpuConfig::fermi(),
+            &launch_sized(app, grid),
+            t,
+        )
+        .unwrap()
     }
 
     #[test]
     fn opt_tlp_beats_or_matches_max_tlp_on_thrashing_app() {
-        let max = run("KMN", 60, Technique::MaxTlp);
-        let opt = run("KMN", 60, Technique::OptTlp);
+        let engine = EvalEngine::default();
+        let max = run(&engine, "KMN", 60, Technique::MaxTlp);
+        let opt = run(&engine, "KMN", 60, Technique::OptTlp);
         assert!(
             opt.stats.cycles <= max.stats.cycles,
             "throttling must not hurt KMN: {} vs {}",
@@ -257,8 +221,9 @@ mod tests {
 
     #[test]
     fn crat_beats_or_matches_opt_tlp_on_register_hungry_app() {
-        let opt = run("CFD", 60, Technique::OptTlp);
-        let crat = run("CFD", 60, Technique::Crat);
+        let engine = EvalEngine::default();
+        let opt = run(&engine, "CFD", 60, Technique::OptTlp);
+        let crat = run(&engine, "CFD", 60, Technique::Crat);
         assert!(
             crat.stats.cycles <= opt.stats.cycles,
             "CRAT must not lose to OptTLP on CFD: {} vs {}",
@@ -278,8 +243,9 @@ mod tests {
     fn crat_register_utilization_is_at_least_opt_tlps() {
         let gpu = GpuConfig::fermi();
         let app = suite::spec("CFD");
-        let opt = run("CFD", 60, Technique::OptTlp);
-        let crat = run("CFD", 60, Technique::Crat);
+        let engine = EvalEngine::default();
+        let opt = run(&engine, "CFD", 60, Technique::OptTlp);
+        let crat = run(&engine, "CFD", 60, Technique::Crat);
         let u_opt = opt.register_utilization(&gpu, app.block_size);
         let u_crat = crat.register_utilization(&gpu, app.block_size);
         assert!(

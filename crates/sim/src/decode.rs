@@ -236,12 +236,6 @@ pub struct DecodedInst {
     /// is `>= 64`, telling callers to fall back to the exact per-slot
     /// walk.
     pub use_def_mask: u64,
-    /// Whether the defined register is also read (it appears among
-    /// [`DecodedInst::uses`], which includes the guard and address
-    /// bases). When false, a fully-active vector op may compute
-    /// straight into the destination row: no read observes the old
-    /// value.
-    pub dst_alias: bool,
 }
 
 impl DecodedInst {
@@ -600,7 +594,6 @@ fn decode_inst(
         }
     }
     let def = inst.def().map_or(NO_REG, |d| d.0);
-    let dst_alias = def != NO_REG && use_regs.iter().any(|r| r.0 == def);
     DecodedInst {
         op,
         guard: inst.guard.map_or(NO_REG, |g| g.pred.0),
@@ -611,7 +604,6 @@ fn decode_inst(
         sfu,
         class,
         use_def_mask,
-        dst_alias,
     }
 }
 

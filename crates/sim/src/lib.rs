@@ -42,10 +42,7 @@
 //! # Ok::<(), crat_sim::SimError>(())
 //! ```
 
-// Memory safety: the one `unsafe` site, the in-place ALU write in
-// `machine.rs`, carries a local `#[allow]` with its justification; any
-// other fails the build.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod cache;
 mod config;

@@ -1261,44 +1261,30 @@ impl<'a> Machine<'a> {
 
     /// Execute a vector-class instruction: the whole-row kernels of
     /// [`crate::vexec`] compute all 32 lanes at once (every operation
-    /// is total, so inactive lanes are safe to compute). Fully-active
-    /// non-aliasing ops write the destination row in place; otherwise
-    /// the kernel targets a temporary row and a masked blend commits
-    /// only the active lanes — bit-identical to the per-lane loop it
-    /// replaces either way.
+    /// is total, so inactive lanes are safe to compute) into a
+    /// temporary row, and a masked blend commits only the active lanes
+    /// — bit-identical to the per-lane loop it replaces.
     fn exec_alu(&mut self, i: usize, inst: &DecodedInst) -> Result<IssueOutcome, SimError> {
         self.stats.warp_insts += 1;
         let warp_size = self.cfg.warp_size;
         let block_size = self.launch.block_size;
         let grid_blocks = self.launch.grid_blocks;
-        let ExecRows { tmp, sa, sb, sc } = &mut self.exec_rows;
+        let ExecRows {
+            tmp: out,
+            sa,
+            sb,
+            sc,
+        } = &mut self.exec_rows;
         let w = self.warps[i].as_mut().expect("warp exists");
         let mask = active_mask(w, inst);
         self.stats.thread_insts += u64::from(mask.count_ones());
 
         debug_assert!(inst.def != NO_REG, "vector ops define a register");
-        // With every lane active and no source aliasing the define,
-        // the blend would copy the whole temporary row verbatim — so
-        // point the kernel straight at the destination row instead.
-        // This is the crate's one `unsafe` site. It stays while its
-        // ablation is open: always blending through `tmp` ran
-        // `suite-cold` 1.06× slower in one 16-pair run (slower in 12
-        // of 16) and 0.99× in another (7 of 16); see the DESIGN.md §5
-        // ablation table.
-        let direct = mask == u32::MAX && !inst.dst_alias;
-        let out_ptr: *mut [u64; 32] = if direct {
-            &mut w.regs[inst.def as usize]
-        } else {
-            tmp
-        };
-        // SAFETY: when `direct`, the pointer names `regs[inst.def]`
-        // and `dst_alias == false` guarantees no arm reads that row
-        // (sources, guard, and selp predicate are all in `uses`); the
-        // shared source-row borrows are therefore disjoint from it.
-        // When not `direct`, it names the scratch row outside the
-        // register file.
-        #[allow(unsafe_code)]
-        let out = unsafe { &mut *out_ptr };
+        // Every kernel writes the scratch row and the blend commits the
+        // active lanes, even when all 32 are active and no source reads
+        // the define: writing the register row in place instead saved
+        // no measurable time (1.003 over 32 `suite-cold` pairs; DESIGN.md
+        // §5 ablation table).
         match inst.op {
             DOp::Mov { ty, dst, src } => {
                 match src {
@@ -1329,26 +1315,20 @@ impl<'a> Machine<'a> {
                         }
                     },
                 }
-                if !direct {
-                    vexec::blend(&mut w.regs[dst as usize], out, mask);
-                }
+                vexec::blend(&mut w.regs[dst as usize], out, mask);
                 set_pending(w, dst);
             }
             DOp::Unary { op, ty, dst, src } => {
                 let ar = src_row(&w.regs, src, sa);
                 vexec::unary_rows(op, ty, ar, out);
-                if !direct {
-                    vexec::blend(&mut w.regs[dst as usize], out, mask);
-                }
+                vexec::blend(&mut w.regs[dst as usize], out, mask);
                 set_pending(w, dst);
             }
             DOp::Binary { op, ty, dst, a, b } => {
                 let ar = src_row(&w.regs, a, sa);
                 let br = src_row(&w.regs, b, sb);
                 vexec::binary_rows(op, ty, ar, br, out);
-                if !direct {
-                    vexec::blend(&mut w.regs[dst as usize], out, mask);
-                }
+                vexec::blend(&mut w.regs[dst as usize], out, mask);
                 set_pending(w, dst);
             }
             DOp::Mad { ty, dst, a, b, c } => {
@@ -1356,9 +1336,7 @@ impl<'a> Machine<'a> {
                 let br = src_row(&w.regs, b, sb);
                 let cr = src_row(&w.regs, c, sc);
                 vexec::mad_rows(ty, ar, br, cr, out);
-                if !direct {
-                    vexec::blend(&mut w.regs[dst as usize], out, mask);
-                }
+                vexec::blend(&mut w.regs[dst as usize], out, mask);
                 set_pending(w, dst);
             }
             DOp::Cvt {
@@ -1369,18 +1347,14 @@ impl<'a> Machine<'a> {
             } => {
                 let ar = src_row(&w.regs, src, sa);
                 vexec::cvt_rows(dst_ty, src_ty, ar, out);
-                if !direct {
-                    vexec::blend(&mut w.regs[dst as usize], out, mask);
-                }
+                vexec::blend(&mut w.regs[dst as usize], out, mask);
                 set_pending(w, dst);
             }
             DOp::Setp { cmp, ty, dst, a, b } => {
                 let ar = src_row(&w.regs, a, sa);
                 let br = src_row(&w.regs, b, sb);
                 vexec::setp_rows(cmp, ty, ar, br, out);
-                if !direct {
-                    vexec::blend(&mut w.regs[dst as usize], out, mask);
-                }
+                vexec::blend(&mut w.regs[dst as usize], out, mask);
                 set_pending(w, dst);
             }
             DOp::Selp {
@@ -1393,9 +1367,7 @@ impl<'a> Machine<'a> {
                 let ar = src_row(&w.regs, a, sa);
                 let br = src_row(&w.regs, b, sb);
                 vexec::selp_rows(ty, ar, br, &w.regs[pred as usize], out);
-                if !direct {
-                    vexec::blend(&mut w.regs[dst as usize], out, mask);
-                }
+                vexec::blend(&mut w.regs[dst as usize], out, mask);
                 set_pending(w, dst);
             }
             DOp::Ld { .. } | DOp::St { .. } | DOp::Bar => {

@@ -4,7 +4,9 @@
 //!
 //! Run with: `cargo run --release --example design_space [ABBR]`
 
-use crat_suite::core::{analyze, prune, staircase, CratOptions, OptTlpSource};
+use crat_suite::core::{
+    analyze, optimize_with, prune, staircase, CratOptions, EvalEngine, OptTlpSource,
+};
 use crat_suite::regalloc::{allocate, AllocOptions};
 use crat_suite::sim::{occupancy, simulate, GpuConfig};
 use crat_suite::workloads::{build_kernel, launch, suite};
@@ -57,7 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // What pruning would keep with a throttled OptTLP.
-    let sol = crat_suite::core::optimize(
+    let sol = optimize_with(
+        &EvalEngine::from_env(None),
         &kernel,
         &gpu,
         &launch,

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example optimize_kernel [ABBR]`
 //! (default app: CFD; try FDTD, KMN, HST, ...)
 
-use crat_suite::core::{evaluate, optimize, CratOptions, Technique};
+use crat_suite::core::{evaluate_with, optimize_with, CratOptions, EvalEngine, Technique};
 use crat_suite::sim::GpuConfig;
 use crat_suite::workloads::{build_kernel, launch, suite};
 
@@ -14,11 +14,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let kernel = build_kernel(app);
     let gpu = GpuConfig::fermi();
     let launch = launch(app);
+    // One engine for the whole run: the comparison below reuses the
+    // simulations the pipeline already ran.
+    let engine = EvalEngine::from_env(None);
 
     println!("== {} ({} / {}) ==", app.name, app.kernel, app.suite);
 
     // The pipeline, step by step.
-    let solution = optimize(&kernel, &gpu, &launch, &CratOptions::new())?;
+    let solution = optimize_with(&engine, &kernel, &gpu, &launch, &CratOptions::new())?;
     println!(
         "\nresource usage: MaxReg={} MinReg={} BlockSize={} MaxTLP={} ShmSize={}B",
         solution.usage.max_reg,
@@ -43,9 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Head-to-head on the simulator.
     println!("\nsimulated comparison:");
-    let max_tlp = evaluate(&kernel, &gpu, &launch, Technique::MaxTlp)?;
-    let opt_tlp = evaluate(&kernel, &gpu, &launch, Technique::OptTlp)?;
-    let crat = evaluate(&kernel, &gpu, &launch, Technique::Crat)?;
+    let max_tlp = evaluate_with(&engine, &kernel, &gpu, &launch, Technique::MaxTlp)?;
+    let opt_tlp = evaluate_with(&engine, &kernel, &gpu, &launch, Technique::OptTlp)?;
+    let crat = evaluate_with(&engine, &kernel, &gpu, &launch, Technique::Crat)?;
     for e in [&max_tlp, &opt_tlp, &crat] {
         println!(
             "  {:10} reg={:2} TLP={}  cycles={:8}  L1 hit={:5.1}%  speedup over OptTLP: {:.2}x",

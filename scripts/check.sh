@@ -21,9 +21,8 @@ echo "== cargo clippy --workspace -- -D warnings"
 # Also enforces the robustness gate: crat-core and crat-cli carry
 # crate-level `deny(clippy::unwrap_used, clippy::expect_used)` on
 # non-test code (DESIGN.md §7), so a stray unwrap fails this step.
-# crat-sim denies `unsafe_code`: its one `unsafe` site (the in-place
-# ALU write in `machine.rs`) carries a local `allow`, and any new one
-# fails here.
+# crat-sim forbids `unsafe_code` crate-wide, so any `unsafe` block
+# there fails to build.
 cargo clippy --workspace --all-targets -- -D warnings
 
 # One run of every package's unit and integration tests, not only the
@@ -74,6 +73,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test -q --workspace"
 cargo test -q --workspace --no-run
 timeout 600 cargo test -q --workspace
+
+# Release differentials: every decoded-vs-reference tier above runs in
+# the debug build, where nothing vectorizes, so a divergence only the
+# optimized row kernels produce passes them all. The float add/mul
+# NaN-payload case (DESIGN.md §5) was one: it failed only here. On a
+# 2-core box the step takes ~30 s once the release libraries are built
+# (they are shared with the release steps below): ~25 s to build the
+# two test targets and ~3 s to run them.
+echo "== release differentials (decode_differential, bank_differential)"
+cargo test --release -q -p crat-suite --test decode_differential --test bank_differential
 
 # The bank-layout probe exercises the end-to-end pipeline on the
 # bank-study apps under every layout policy.

@@ -2,24 +2,31 @@
 //! resource analysis → profiling → pruning → allocation → TPSC →
 //! simulation) produces the paper's qualitative results.
 
-use crat_suite::core::{evaluate, Technique};
+use crat_suite::core::{evaluate_with, EvalEngine, Evaluation, Technique};
 use crat_suite::sim::GpuConfig;
 use crat_suite::workloads::{build_kernel, launch_sized, suite};
 
-fn run(abbr: &str, grid: u32, t: Technique) -> crat_suite::core::Evaluation {
+fn run(engine: &EvalEngine, abbr: &str, grid: u32, t: Technique) -> Evaluation {
     let app = suite::spec(abbr);
     let kernel = build_kernel(app);
-    evaluate(&kernel, &GpuConfig::fermi(), &launch_sized(app, grid), t)
-        .unwrap_or_else(|e| panic!("{abbr}/{t}: {e}"))
+    evaluate_with(
+        engine,
+        &kernel,
+        &GpuConfig::fermi(),
+        &launch_sized(app, grid),
+        t,
+    )
+    .unwrap_or_else(|e| panic!("{abbr}/{t}: {e}"))
 }
 
 /// The central claim, on the register-hungriest app: CRAT beats the
 /// thread-throttling baseline, which beats (or matches) MaxTLP.
 #[test]
 fn crat_ordering_holds_on_register_hungry_app() {
-    let max = run("CFD", 45, Technique::MaxTlp);
-    let opt = run("CFD", 45, Technique::OptTlp);
-    let crat = run("CFD", 45, Technique::Crat);
+    let engine = EvalEngine::default();
+    let max = run(&engine, "CFD", 45, Technique::MaxTlp);
+    let opt = run(&engine, "CFD", 45, Technique::OptTlp);
+    let crat = run(&engine, "CFD", 45, Technique::Crat);
     assert!(
         opt.stats.cycles <= max.stats.cycles,
         "OptTLP {} vs MaxTLP {}",
@@ -42,8 +49,9 @@ fn crat_ordering_holds_on_register_hungry_app() {
 /// KMN/LBM/SPMV/STM group) CRAT must not lose to OptTLP.
 #[test]
 fn crat_matches_opt_tlp_when_default_is_optimal() {
-    let opt = run("SPMV", 45, Technique::OptTlp);
-    let crat = run("SPMV", 45, Technique::Crat);
+    let engine = EvalEngine::default();
+    let opt = run(&engine, "SPMV", 45, Technique::OptTlp);
+    let crat = run(&engine, "SPMV", 45, Technique::Crat);
     let ratio = crat.stats.cycles as f64 / opt.stats.cycles as f64;
     assert!(ratio <= 1.05, "CRAT must not regress: ratio {ratio:.3}");
 }
@@ -51,9 +59,10 @@ fn crat_matches_opt_tlp_when_default_is_optimal() {
 /// Insensitive apps: all three techniques within a few percent.
 #[test]
 fn insensitive_app_shows_no_remarkable_change() {
-    let max = run("BAK", 45, Technique::MaxTlp);
-    let opt = run("BAK", 45, Technique::OptTlp);
-    let crat = run("BAK", 45, Technique::Crat);
+    let engine = EvalEngine::default();
+    let max = run(&engine, "BAK", 45, Technique::MaxTlp);
+    let opt = run(&engine, "BAK", 45, Technique::OptTlp);
+    let crat = run(&engine, "BAK", 45, Technique::Crat);
     let lo = max
         .stats
         .cycles
@@ -71,11 +80,12 @@ fn insensitive_app_shows_no_remarkable_change() {
     );
 }
 
-/// The whole evaluation is deterministic.
+/// The whole evaluation is deterministic: two engines, whose memos
+/// share nothing, agree.
 #[test]
 fn evaluation_is_deterministic() {
-    let a = run("FDTD", 30, Technique::Crat);
-    let b = run("FDTD", 30, Technique::Crat);
+    let a = run(&EvalEngine::default(), "FDTD", 30, Technique::Crat);
+    let b = run(&EvalEngine::default(), "FDTD", 30, Technique::Crat);
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.reg, b.reg);
     assert_eq!(a.tlp, b.tlp);
@@ -87,8 +97,9 @@ fn evaluation_is_deterministic() {
 fn register_utilization_improves() {
     let gpu = GpuConfig::fermi();
     let app = suite::spec("HST");
-    let opt = run("HST", 45, Technique::OptTlp);
-    let crat = run("HST", 45, Technique::Crat);
+    let engine = EvalEngine::default();
+    let opt = run(&engine, "HST", 45, Technique::OptTlp);
+    let crat = run(&engine, "HST", 45, Technique::Crat);
     let u_opt = opt.register_utilization(&gpu, app.block_size);
     let u_crat = crat.register_utilization(&gpu, app.block_size);
     assert!(u_crat > u_opt, "{u_crat:.3} vs {u_opt:.3}");
@@ -101,8 +112,9 @@ fn kepler_configuration_works() {
     let kernel = build_kernel(app);
     let gpu = GpuConfig::kepler();
     let launch = launch_sized(app, 48);
-    let opt = evaluate(&kernel, &gpu, &launch, Technique::OptTlp).unwrap();
-    let crat = evaluate(&kernel, &gpu, &launch, Technique::Crat).unwrap();
+    let engine = EvalEngine::default();
+    let opt = evaluate_with(&engine, &kernel, &gpu, &launch, Technique::OptTlp).unwrap();
+    let crat = evaluate_with(&engine, &kernel, &gpu, &launch, Technique::Crat).unwrap();
     assert!(crat.stats.cycles <= opt.stats.cycles);
 }
 
@@ -110,8 +122,9 @@ fn kepler_configuration_works() {
 /// in the same ballpark as profiling (paper Figure 20).
 #[test]
 fn static_estimation_is_usable() {
-    let profile = run("FDTD", 30, Technique::Crat);
-    let statik = run("FDTD", 30, Technique::CratStatic);
+    let engine = EvalEngine::default();
+    let profile = run(&engine, "FDTD", 30, Technique::Crat);
+    let statik = run(&engine, "FDTD", 30, Technique::CratStatic);
     let ratio = statik.stats.cycles as f64 / profile.stats.cycles as f64;
     assert!(
         ratio < 1.6,
@@ -122,7 +135,8 @@ fn static_estimation_is_usable() {
 /// Energy follows performance (paper §7.2: CRAT saves energy).
 #[test]
 fn crat_saves_energy_on_sensitive_app() {
-    let opt = run("CFD", 45, Technique::OptTlp);
-    let crat = run("CFD", 45, Technique::Crat);
+    let engine = EvalEngine::default();
+    let opt = run(&engine, "CFD", 45, Technique::OptTlp);
+    let crat = run(&engine, "CFD", 45, Technique::Crat);
     assert!(crat.energy.total_j() < opt.energy.total_j());
 }

@@ -15,7 +15,10 @@
 use std::fs;
 use std::path::PathBuf;
 
-use crat_suite::core::{evaluate, stats_from_json, stats_to_json, Json, Technique};
+use crat_suite::core::{
+    evaluate_with, optimize_with, stats_from_json, stats_to_json, AllocStrategy, CratOptions,
+    EvalEngine, Json, StrategyRoster, Technique,
+};
 use crat_suite::sim::GpuConfig;
 use crat_suite::workloads::{build_kernel, launch_sized, suite, AppSpec};
 
@@ -43,13 +46,13 @@ fn golden_path(abbr: &str) -> PathBuf {
 ///
 /// Also asserts the attribution invariant on every point, so the
 /// golden run doubles as an invariant sweep over the whole suite.
-fn snapshot(app: &'static AppSpec) -> Json {
+fn snapshot(engine: &EvalEngine, app: &'static AppSpec) -> Json {
     let kernel = build_kernel(app);
     let gpu = GpuConfig::fermi();
     let launch = launch_sized(app, GRID_BLOCKS);
     let mut points = Vec::new();
     for t in TECHNIQUES {
-        let e = evaluate(&kernel, &gpu, &launch, t)
+        let e = evaluate_with(engine, &kernel, &gpu, &launch, t)
             .unwrap_or_else(|err| panic!("{}/{t}: {err}", app.abbr));
         e.stats
             .attribution
@@ -121,9 +124,10 @@ fn compare(abbr: &str, expected: &Json, actual: &Json) -> Vec<String> {
 #[test]
 fn golden_suite_matches_snapshots() {
     let bless = std::env::var("CRAT_BLESS").is_ok_and(|v| !v.is_empty() && v != "0");
+    let engine = EvalEngine::default();
     let mut failures = Vec::new();
     for app in suite::all() {
-        let actual = snapshot(app);
+        let actual = snapshot(&engine, app);
         let path = golden_path(app.abbr);
         if bless {
             fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -172,9 +176,7 @@ fn golden_suite_matches_snapshots() {
 /// caught nothing.
 #[test]
 fn degradation_path_inert_on_healthy_inputs() {
-    use crat_suite::core::{optimize_with, AllocStrategy, CratOptions, EvalEngine, StrategyRoster};
-
-    let engine = EvalEngine::new(0);
+    let engine = EvalEngine::default();
     let gpu = GpuConfig::fermi();
     for app in suite::all() {
         let kernel = build_kernel(app);
@@ -226,11 +228,18 @@ fn degradation_path_inert_on_healthy_inputs() {
 #[test]
 #[ignore = "slow tier: full-size grids"]
 fn attribution_invariant_at_full_grid() {
+    let engine = EvalEngine::default();
     for app in suite::all() {
         let kernel = build_kernel(app);
         let launch = launch_sized(app, app.grid_blocks);
-        let e = evaluate(&kernel, &GpuConfig::fermi(), &launch, Technique::MaxTlp)
-            .unwrap_or_else(|err| panic!("{}: {err}", app.abbr));
+        let e = evaluate_with(
+            &engine,
+            &kernel,
+            &GpuConfig::fermi(),
+            &launch,
+            Technique::MaxTlp,
+        )
+        .unwrap_or_else(|err| panic!("{}: {err}", app.abbr));
         e.stats
             .attribution
             .check(e.stats.cycles)
@@ -242,7 +251,7 @@ fn attribution_invariant_at_full_grid() {
 #[test]
 fn snapshots_round_trip() {
     let app = suite::spec("CFD");
-    let snap = snapshot(app);
+    let snap = snapshot(&EvalEngine::default(), app);
     let reparsed = Json::parse(&snap.pretty()).expect("pretty output parses");
     assert_eq!(snap.pretty(), reparsed.pretty());
     let stats = reparsed.get("points").and_then(Json::as_arr).unwrap()[0]

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use crat_suite::core::{optimize, CratOptions, OptTlpSource};
+use crat_suite::core::{optimize_with, CratOptions, EvalEngine, OptTlpSource};
 use crat_suite::ptx::Kernel;
 use crat_suite::regalloc::{allocate, AllocOptions};
 use crat_suite::sim::{simulate_capture, GpuConfig, LaunchConfig};
@@ -50,13 +50,15 @@ fn default_allocation_preserves_semantics_for_all_apps() {
 
 #[test]
 fn crat_chosen_allocation_preserves_semantics_for_sensitive_apps() {
+    let engine = EvalEngine::default();
     for app in suite::sensitive() {
         let kernel = build_kernel(app);
         let launch = launch_sized(app, 15);
         let expect = reference(&kernel, &launch);
 
         // Use a fixed OptTLP to keep the test fast (skips profiling).
-        let sol = optimize(
+        let sol = optimize_with(
+            &engine,
             &kernel,
             &GpuConfig::fermi(),
             &launch,
