@@ -155,7 +155,7 @@ pub fn threads_flag() -> Option<usize> {
 /// `CRAT_CACHE_DIR` store attached if set.
 pub fn engine() -> &'static EvalEngine {
     static ENGINE: OnceLock<EvalEngine> = OnceLock::new();
-    ENGINE.get_or_init(|| EvalEngine::from_env(threads_flag()))
+    ENGINE.get_or_init(|| EvalEngine::from_env(threads_flag(), None))
 }
 
 /// Print the engine's counters after an experiment: a `# engine:`

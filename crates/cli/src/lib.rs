@@ -434,21 +434,22 @@ fn parse_u64(s: &str, flag: &str) -> Result<u64, CliError> {
 /// Propagates I/O and pipeline failures with rendered messages.
 pub fn run(cmd: Command) -> Result<String, CliError> {
     /// This command's engine ([`EvalEngine::from_env`]), sized by
-    /// `--threads` when given, with the persistent store attached when
-    /// `--cache-dir` was given (the flag's store replaces any
-    /// `CRAT_CACHE_DIR` attachment, so the explicit flag wins). Unlike
-    /// the silent env path, a store that was requested explicitly and
-    /// cannot be opened is an error.
+    /// `--threads` when given, with the `--cache-dir` store attached
+    /// when given (then `CRAT_CACHE_DIR` is never opened, so the
+    /// explicit flag wins). Unlike the silent env path, a store that
+    /// was requested explicitly and cannot be opened is an error.
     fn engine_for(opts: &CommonOpts) -> Result<EvalEngine, CliError> {
-        let engine = EvalEngine::from_env(opts.threads);
-        if let Some(dir) = &opts.cache_dir {
-            let mut config = crat_core::StoreConfig::new(dir);
-            config.byte_limit = opts.cache_limit;
-            let store = crat_core::ResultStore::open(config)
-                .map_err(|e| CliError::Tool(format!("--cache-dir {dir}: {e}")))?;
-            let _ = engine.attach_store(std::sync::Arc::new(store));
-        }
-        Ok(engine)
+        let store = match &opts.cache_dir {
+            Some(dir) => {
+                let mut config = crat_core::StoreConfig::new(dir);
+                config.byte_limit = opts.cache_limit;
+                let store = crat_core::ResultStore::open(config)
+                    .map_err(|e| CliError::Tool(format!("--cache-dir {dir}: {e}")))?;
+                Some(std::sync::Arc::new(store))
+            }
+            None => None,
+        };
+        Ok(EvalEngine::from_env(opts.threads, store))
     }
 
     /// Human-readable stall breakdown: where every scheduler-slot

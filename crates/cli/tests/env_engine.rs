@@ -1,6 +1,7 @@
 //! The `crat` binary builds its engine from the environment:
 //! `CRAT_THREADS` sizes the worker pool and `CRAT_CACHE_DIR` attaches a
-//! persistent store, while `--threads` and `--cache-dir` win over both.
+//! persistent store, while `--threads` and `--cache-dir` win over both
+//! (a `--cache-dir` leaves `CRAT_CACHE_DIR` unopened).
 
 use std::path::Path;
 use std::process::Command;
@@ -73,6 +74,14 @@ fn environment_sizes_the_engine_and_attaches_the_store() {
     let (line, _) = split_engine_line(&elsewhere);
     assert_eq!(store_count(line, "hits"), 0, "{line}");
     assert!(store_count(line, "writes") > 0, "{line}");
+
+    // With the flag given, the environment's store is never opened, so
+    // its directory is not created.
+    let missing = base.join("missing");
+    let flagged = crat_app(&missing, &["--cache-dir", flag_path]);
+    let (line, _) = split_engine_line(&flagged);
+    assert!(store_count(line, "hits") > 0, "{line}");
+    assert!(!missing.exists(), "CRAT_CACHE_DIR was opened");
 
     let _ = std::fs::remove_dir_all(&base);
 }

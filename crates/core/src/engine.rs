@@ -500,15 +500,18 @@ impl EvalEngine {
         EvalEngine::new(1)
     }
 
-    /// An engine configured from the environment: `threads` workers if
-    /// given, else `CRAT_THREADS` if set to a positive integer, else
-    /// the machine's available parallelism; with the persistent store
-    /// `CRAT_CACHE_DIR` / `CRAT_CACHE_LIMIT` request attached, if any.
-    /// A store that fails to open is skipped silently — persistence is
+    /// An engine configured from the environment, where the caller's
+    /// explicit choices leave it open: `threads` workers if given, else
+    /// `CRAT_THREADS` if set to a positive integer, else the machine's
+    /// available parallelism; `store` attached if given, else the
+    /// persistent store `CRAT_CACHE_DIR` / `CRAT_CACHE_LIMIT` request,
+    /// if any. A given `store` means the environment's is never opened,
+    /// so its directory is neither created nor swept. An environment
+    /// store that fails to open is skipped silently — persistence is
     /// an optimization and an env var must not break an unrelated run;
     /// the CLI surfaces open errors when a store is requested
     /// explicitly via `--cache-dir`.
-    pub fn from_env(threads: Option<usize>) -> EvalEngine {
+    pub fn from_env(threads: Option<usize>, store: Option<Arc<ResultStore>>) -> EvalEngine {
         let threads = threads.unwrap_or_else(|| {
             std::env::var("CRAT_THREADS")
                 .ok()
@@ -517,10 +520,12 @@ impl EvalEngine {
                 .unwrap_or(0)
         });
         let engine = EvalEngine::new(threads);
-        if let Some(config) = StoreConfig::from_env() {
-            if let Ok(store) = ResultStore::open(config) {
-                let _ = engine.attach_store(Arc::new(store));
-            }
+        let store = store.or_else(|| {
+            let store = ResultStore::open(StoreConfig::from_env()?).ok()?;
+            Some(Arc::new(store))
+        });
+        if let Some(store) = store {
+            let _ = engine.attach_store(store);
         }
         engine
     }
@@ -533,9 +538,7 @@ impl EvalEngine {
     /// Attach a persistent result store: memoizable outcomes are now
     /// also written to disk, and owner-path misses consult the store
     /// before simulating. Returns the previously attached store, if
-    /// any — the new one replaces it (records on disk are untouched),
-    /// which is how an explicit `--cache-dir` flag overrides a
-    /// `CRAT_CACHE_DIR` environment attachment.
+    /// any — the new one replaces it (records on disk are untouched).
     pub fn attach_store(&self, store: Arc<ResultStore>) -> Option<Arc<ResultStore>> {
         lock(&self.store).replace(store)
     }

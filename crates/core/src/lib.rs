@@ -34,7 +34,7 @@
 //!
 //! let app = suite::spec("CFD");
 //! let kernel = build_kernel(app);
-//! let engine = EvalEngine::from_env(None);
+//! let engine = EvalEngine::from_env(None, None);
 //! let solution = optimize_with(&engine, &kernel, &GpuConfig::fermi(), &launch(app), &CratOptions::new())?;
 //! println!("CRAT chose reg={} TLP={}", solution.point().reg, solution.point().tlp);
 //! # Ok::<(), crat_core::CratError>(())

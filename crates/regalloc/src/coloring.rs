@@ -102,17 +102,15 @@ pub fn try_color(
                 }
             }
         }
-        let picked = picked.or(picked_wide);
-        let v = match picked {
-            Some(v) => v,
-            None => match cheapest_spill_candidate(n, &alive, |i| deg[i], ranges, unspillable) {
-                Some(v) => v,
-                // Only unspillable nodes remain and none is trivially
-                // colorable; push them optimistically anyway — select
-                // may still succeed, and if not we report `Fatal`.
-                None => first_alive(n, &alive).expect("remaining > 0"),
-            },
-        };
+        let picked = picked
+            .or(picked_wide)
+            .or_else(|| cheapest_spill_candidate(n, &alive, |i| deg[i], ranges, unspillable))
+            // Only unspillable nodes remain and none is trivially
+            // colorable; push them optimistically anyway — select may
+            // still succeed, and if not we report `Fatal`.
+            .or_else(|| first_alive(n, &alive));
+        // `remaining` counts the alive nodes, so one is always found.
+        let Some(v) = picked else { break };
         alive[v.index()] = false;
         remaining -= 1;
         for &nb in graph.neighbor_ids(v) {

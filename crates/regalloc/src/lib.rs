@@ -42,6 +42,11 @@
 //! # Ok::<(), crat_regalloc::AllocError>(())
 //! ```
 
+// Robustness gate (DESIGN.md §7): non-test code in this crate must
+// surface failures as structured errors, not aborts. Survivors carry a
+// local `#[allow]` with a justification.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod briggs;
 mod coloring;
 mod context;

@@ -175,11 +175,15 @@ impl SpillState {
         self.substacks.len() - 1
     }
 
-    /// Reserve a local slot in sub-stack `si`; returns its index.
-    fn push_slot(&mut self, kernel: &mut Kernel, si: usize) -> u32 {
+    /// Reserve a local slot in sub-stack `si`, declaring the local
+    /// array on first use; returns the slot's index and address.
+    fn push_slot(&mut self, kernel: &mut Kernel, si: usize) -> (u32, Address) {
+        let base = self.local_base(kernel);
         let width = self.substacks[si].width();
         let offset = self.local_next_offset.div_ceil(width) * width;
         self.local_next_offset = offset + width;
+        // `local_base` just declared the array, if it was not already.
+        #[allow(clippy::expect_used)]
         let mut var = kernel
             .remove_var(LOCAL_STACK_VAR)
             .expect("local stack exists");
@@ -188,7 +192,7 @@ impl SpillState {
         let sub = &mut self.substacks[si];
         sub.slot_offsets.push(offset);
         sub.slots += 1;
-        sub.slots - 1
+        (sub.slots - 1, Address::reg_offset(base, i64::from(offset)))
     }
 
     /// Spill `vregs` out of `kernel`: every use gets a preceding load
@@ -215,7 +219,7 @@ impl SpillState {
         dedup.sort_unstable();
         dedup.dedup();
 
-        let mut slot_of: HashMap<VReg, (usize, u32, Type)> = HashMap::new();
+        let mut slot_of: HashMap<VReg, (Address, Type)> = HashMap::new();
         let mut remat: HashMap<VReg, Op> = HashMap::new();
         for &v in &dedup {
             let ty = kernel.reg_ty(v);
@@ -229,10 +233,9 @@ impl SpillState {
                 });
                 continue;
             }
-            let _ = self.local_base(kernel);
             let si = self.substack_for(ty);
-            let slot = self.push_slot(kernel, si);
-            slot_of.insert(v, (si, slot, ty));
+            let (slot, addr) = self.push_slot(kernel, si);
+            slot_of.insert(v, (addr, ty));
             self.assigned.push(SpilledVar {
                 vreg: v,
                 ty,
@@ -279,8 +282,8 @@ impl SpillState {
                         self.remat_static += 1;
                         self.remat_weighted = self.remat_weighted.saturating_add(block_weight);
                     } else {
-                        let (si, slot, ty) = slot_of[&u];
-                        new_insts.push(Instruction::new(self.access(si, slot, ty, tmp, true)));
+                        let (addr, ty) = slot_of[&u].clone();
+                        new_insts.push(Instruction::new(Self::slot_access(addr, ty, tmp, true)));
                     }
                 }
                 if let Some(d) = def {
@@ -297,13 +300,13 @@ impl SpillState {
                 new_insts.push(inst);
 
                 if let Some(d) = def {
-                    let (si, slot, ty) = slot_of[&d];
+                    let (addr, ty) = slot_of[&d].clone();
                     let tmp = tmp_of[&d];
                     // A guarded def stores under the same guard so the
                     // stack slot is only written when the def happens.
                     new_insts.push(Instruction {
                         guard,
-                        op: self.access(si, slot, ty, tmp, false),
+                        op: Self::slot_access(addr, ty, tmp, false),
                     });
                 }
             }
@@ -313,16 +316,8 @@ impl SpillState {
     }
 
     /// Build the load (`is_load`) or store access for a (still local)
-    /// slot.
-    fn access(&self, si: usize, slot: u32, ty: Type, tmp: VReg, is_load: bool) -> Op {
-        let sub = &self.substacks[si];
-        debug_assert_eq!(
-            sub.home,
-            SpillHome::Local,
-            "new spills only target local stacks"
-        );
-        let base = self.local_base.expect("local stack exists");
-        let addr = Address::reg_offset(base, sub.slot_offsets[slot as usize] as i64);
+    /// slot at `addr`.
+    fn slot_access(addr: Address, ty: Type, tmp: VReg, is_load: bool) -> Op {
         if is_load {
             Op::Ld {
                 space: Space::Local,
@@ -359,6 +354,10 @@ impl SpillState {
             let sub = &self.substacks[si];
             assert_eq!(sub.home, SpillHome::Local, "sub-stack already re-homed");
             (sub.width(), sub.slots, sub.slot_offsets.clone())
+        };
+        // A local sub-stack lives in the local array, so it exists.
+        let Some(local_base) = self.local_base else {
+            return;
         };
         // Byte distance between lanes and between a thread's slots.
         let (lane_stride, slot_stride) = match layout {
@@ -417,12 +416,10 @@ impl SpillState {
         let entry = kernel.entry();
         // Insert after the local base mov so the stack pointer stays
         // first in the entry block.
-        let pos = usize::from(self.local_base.is_some());
-        kernel.block_mut(entry).insts.splice(pos..pos, setup);
+        kernel.block_mut(entry).insts.splice(1..1, setup);
 
         // Rewrite this sub-stack's accesses: local offset → shared
         // offset under the chosen layout.
-        let local_base = self.local_base.expect("local stack exists");
         let offset_to_slot: HashMap<i64, u32> = offsets
             .iter()
             .enumerate()

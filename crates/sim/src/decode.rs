@@ -18,7 +18,10 @@
 //! * register uses (guard and address bases included) and the def are
 //!   flattened into fixed arrays, so the scoreboard never allocates;
 //! * each conditional branch carries its precomputed immediate
-//!   post-dominator, so divergence handling needs no CFG at run time.
+//!   post-dominator, so divergence handling needs no CFG at run time;
+//! * each instruction carries its value-slice bit
+//!   ([`DecodedInst::feeds_stats`]), so a stats-only simulation computes
+//!   only the lane values a branch, a guard or an address can see.
 //!
 //! Decoding is deterministic and total over validated kernels, so the
 //! decoded program is a pure function of the kernel's structural hash —
@@ -236,6 +239,12 @@ pub struct DecodedInst {
     /// is `>= 64`, telling callers to fall back to the exact per-slot
     /// walk.
     pub use_def_mask: u64,
+    /// Whether the lane values this instruction computes (its define,
+    /// or a store's bytes) can reach a branch, a guard or an address,
+    /// and so the [`crate::SimStats`]. Off, a stats-only simulation
+    /// skips the lane work and keeps every timing effect; see
+    /// `mark_value_slice`. Always off for barriers.
+    pub feeds_stats: bool,
 }
 
 impl DecodedInst {
@@ -373,7 +382,7 @@ pub fn decode(kernel: &Kernel) -> Result<DecodedKernel, SimError> {
         }
     };
 
-    let blocks = kernel
+    let mut blocks: Vec<DBlock> = kernel
         .blocks()
         .iter()
         .map(|b| {
@@ -401,6 +410,7 @@ pub fn decode(kernel: &Kernel) -> Result<DecodedKernel, SimError> {
             DBlock { insts, term }
         })
         .collect();
+    mark_value_slice(&mut blocks, kernel.num_regs(), local_frame_bytes);
 
     Ok(DecodedKernel {
         name: kernel.name().to_string(),
@@ -604,13 +614,218 @@ fn decode_inst(
         sfu,
         class,
         use_def_mask,
+        feeds_stats: false,
+    }
+}
+
+/// Where a `.local` access lands, as far as decode can tell.
+#[derive(Debug, Clone, Copy)]
+enum Footprint {
+    /// The byte range `[lo, hi)` of the accessing thread's own frame.
+    Frame(u64, u64),
+    /// Anywhere in the block's local buffer.
+    Any,
+}
+
+impl Footprint {
+    fn overlaps(self, other: Footprint) -> bool {
+        match (self, other) {
+            (Footprint::Frame(lo, hi), Footprint::Frame(olo, ohi)) => lo < ohi && olo < hi,
+            _ => true,
+        }
+    }
+}
+
+/// The memory the needed loads found so far may read.
+#[derive(Default)]
+struct NeededReads {
+    global: bool,
+    shared: bool,
+    local: Vec<Footprint>,
+}
+
+impl NeededReads {
+    fn note(&mut self, space: crat_ptx::Space, fp: Footprint) {
+        match space {
+            crat_ptx::Space::Global => self.global = true,
+            crat_ptx::Space::Shared => self.shared = true,
+            crat_ptx::Space::Local => self.local.push(fp),
+            // Parameters are launch constants, not memory.
+            crat_ptx::Space::Param => {}
+        }
+    }
+
+    /// Whether a needed load may read what a store to `space` at `fp`
+    /// writes.
+    fn may_read(&self, space: crat_ptx::Space, fp: Footprint) -> bool {
+        match space {
+            crat_ptx::Space::Global => self.global,
+            crat_ptx::Space::Shared => self.shared,
+            crat_ptx::Space::Local => self.local.iter().any(|&r| r.overlaps(fp)),
+            crat_ptx::Space::Param => false,
+        }
+    }
+}
+
+/// Calls `f` on each register `op` reads lane values from. Guards and
+/// address bases are left out: they are roots of the value slice.
+fn value_regs(op: &DOp, mut f: impl FnMut(u32)) {
+    let mut src = |s: DSrc| {
+        if let DSrc::Reg(r) = s {
+            f(r);
+        }
+    };
+    match *op {
+        DOp::Mov { src: s, .. }
+        | DOp::Unary { src: s, .. }
+        | DOp::Cvt { src: s, .. }
+        | DOp::St { src: s, .. } => src(s),
+        DOp::Binary { a, b, .. } | DOp::Setp { a, b, .. } => {
+            src(a);
+            src(b);
+        }
+        DOp::Mad { a, b, c, .. } => {
+            src(a);
+            src(b);
+            src(c);
+        }
+        DOp::Selp { a, b, pred, .. } => {
+            src(a);
+            src(b);
+            src(DSrc::Reg(pred));
+        }
+        DOp::Ld { .. } | DOp::Bar => {}
+    }
+}
+
+/// The registers that hold one constant in every lane wherever they are
+/// read: the sole define is an unguarded `mov` of an immediate at the
+/// top of the entry block (before any read of the register), and no
+/// branch re-enters that block. Warps start there with all 32 lanes
+/// active, so the move writes every lane before any read. Spill code's
+/// `__local_stack` base is one.
+fn constant_regs(blocks: &[DBlock], num_regs: usize) -> Vec<Option<u64>> {
+    let mut defs = vec![0u32; num_regs];
+    for inst in blocks.iter().flat_map(|b| &b.insts) {
+        if inst.def != NO_REG {
+            defs[inst.def as usize] += 1;
+        }
+    }
+    let mut constant = vec![None; num_regs];
+    let reentered = blocks.iter().any(|b| match b.term {
+        DTerm::Bra(t) => t == 0,
+        DTerm::CondBra {
+            taken, not_taken, ..
+        } => taken == 0 || not_taken == 0,
+        DTerm::Exit => false,
+    });
+    let Some(entry) = blocks.first().filter(|_| !reentered) else {
+        return constant;
+    };
+    let mut read = vec![false; num_regs];
+    for inst in &entry.insts {
+        if let DOp::Mov {
+            dst,
+            src: DSrc::Val(v),
+            ..
+        } = inst.op
+        {
+            if inst.guard == NO_REG && defs[dst as usize] == 1 && !read[dst as usize] {
+                constant[dst as usize] = Some(v);
+            }
+        }
+        for &r in inst.uses() {
+            read[r as usize] = true;
+        }
+    }
+    constant
+}
+
+/// Set [`DecodedInst::feeds_stats`] on every instruction whose lane
+/// values can reach the [`crate::SimStats`].
+///
+/// The statistics see lane values only through branch predicates and
+/// guards (masks, divergence) and address bases (coalescing, banks,
+/// bounds). Those registers are the roots. The closure is
+/// flow-insensitive and uses no kills: once a register is needed, every
+/// define of it is live, because a define under a partial SIMT mask or
+/// a false guard keeps the other lanes' older values. A live
+/// instruction's value sources are needed in turn. A needed load makes
+/// live every store it may read: any store to its space for `.global`
+/// and `.shared`; for `.local`, the stores whose constant frame byte
+/// range overlaps the load's, plus every store whose address is not
+/// such a range (and a load without one makes every `.local` store
+/// live). `ld.param` reads no memory.
+fn mark_value_slice(blocks: &mut [DBlock], num_regs: usize, local_frame_bytes: u32) {
+    let constant = constant_regs(blocks, num_regs);
+    let local_footprint = |addr: DAddr, ty: Type| -> Footprint {
+        let base = match addr.base {
+            DAddrBase::Frame(b) => Some(b),
+            DAddrBase::Reg(r) => constant[r as usize],
+            DAddrBase::Param(_) => None,
+        };
+        // Only a range inside the thread's own frame is private to
+        // it: the buffer holds every thread's frame back to back.
+        base.map(|b| b.wrapping_add(addr.offset as u64))
+            .and_then(|lo| Some((lo, lo.checked_add(ty.size_bytes() as u64)?)))
+            .filter(|&(_, hi)| hi <= u64::from(local_frame_bytes))
+            .map_or(Footprint::Any, |(lo, hi)| Footprint::Frame(lo, hi))
+    };
+
+    let mut needed = vec![false; num_regs];
+    for b in blocks.iter() {
+        for inst in &b.insts {
+            if inst.guard != NO_REG {
+                needed[inst.guard as usize] = true;
+            }
+            if let DOp::Ld { addr, .. } | DOp::St { addr, .. } = inst.op {
+                if let DAddrBase::Reg(r) = addr.base {
+                    needed[r as usize] = true;
+                }
+            }
+        }
+        if let Some(p) = b.term.used_reg() {
+            needed[p as usize] = true;
+        }
+    }
+
+    let mut reads = NeededReads::default();
+    loop {
+        let mut grew = false;
+        for inst in blocks.iter_mut().flat_map(|b| &mut b.insts) {
+            if inst.feeds_stats {
+                continue;
+            }
+            let live = match inst.op {
+                DOp::St {
+                    space, ty, addr, ..
+                } => reads.may_read(space, local_footprint(addr, ty)),
+                DOp::Bar => false,
+                _ => needed[inst.def as usize],
+            };
+            if !live {
+                continue;
+            }
+            inst.feeds_stats = true;
+            grew = true;
+            value_regs(&inst.op, |r| needed[r as usize] = true);
+            if let DOp::Ld {
+                space, ty, addr, ..
+            } = inst.op
+            {
+                reads.note(space, local_footprint(addr, ty));
+            }
+        }
+        if !grew {
+            return;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crat_ptx::{KernelBuilder, Space};
+    use crat_ptx::{Address, KernelBuilder, Space};
 
     #[test]
     fn decode_resolves_operands_and_uses() {
@@ -747,6 +962,182 @@ mod tests {
         let tail = insts.last().unwrap();
         assert_eq!(tail.class, OpClass::Alu);
         assert_eq!(tail.use_def_mask, u64::MAX, "vreg >= 64 must widen");
+    }
+
+    /// Whether the instructions defining `r` are on the value slice
+    /// (they must all agree: the closure has no kills).
+    fn def_live(dk: &DecodedKernel, r: crat_ptx::VReg) -> bool {
+        let defs: Vec<bool> = dk
+            .blocks()
+            .iter()
+            .flat_map(|b| &b.insts)
+            .filter(|i| i.def == r.0)
+            .map(|i| i.feeds_stats)
+            .collect();
+        assert!(!defs.is_empty(), "no define of {r:?}");
+        assert!(defs.iter().all(|&l| l == defs[0]), "{r:?}: {defs:?}");
+        defs[0]
+    }
+
+    /// The slice bits of the stores to `space`, by address offset.
+    fn stores_live(dk: &DecodedKernel, space: Space) -> Vec<(i64, bool)> {
+        dk.blocks()
+            .iter()
+            .flat_map(|b| &b.insts)
+            .filter_map(|i| match i.op {
+                DOp::St { space: s, addr, .. } if s == space => Some((addr.offset, i.feeds_stats)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slice_drops_a_dead_accumulator_chain() {
+        let mut b = KernelBuilder::new("k");
+        let out = b.param_ptr("out");
+        let tid = b.special_tid_x(Type::U32);
+        let x = b.mul(Type::U32, tid, Operand::Imm(3));
+        let y = b.add(Type::U32, x, Operand::Imm(7));
+        let acc = b.mad(Type::U32, y, y, x);
+        let a = b.wide_address(out, tid, 4);
+        b.st(Space::Global, Type::U32, a, acc);
+        let dk = decode(&b.finish()).unwrap();
+
+        // The address is a root; the stored chain reaches nothing.
+        assert!(def_live(&dk, tid) && def_live(&dk, a));
+        for r in [x, y, acc] {
+            assert!(!def_live(&dk, r), "{r:?} feeds only a store");
+        }
+        assert_eq!(stores_live(&dk, Space::Global), vec![(0, false)]);
+    }
+
+    #[test]
+    fn slice_keeps_global_stores_when_a_loaded_value_steers_a_branch() {
+        let mut b = KernelBuilder::new("k");
+        let inp = b.param_ptr("inp");
+        let out = b.param_ptr("out");
+        let tid = b.special_tid_x(Type::U32);
+        let acc = b.mul(Type::U32, tid, Operand::Imm(3));
+        let a = b.wide_address(out, tid, 4);
+        b.st(Space::Global, Type::U32, a, acc);
+        let ia = b.wide_address(inp, tid, 4);
+        let v = b.ld(Space::Global, Type::U32, ia);
+        let p = b.setp(crat_ptx::CmpOp::Lt, Type::U32, v, Operand::Imm(5));
+        let (t, j) = (b.new_block(), b.new_block());
+        b.cond_branch(p, t, j);
+        b.switch_to(t);
+        b.branch(j);
+        b.switch_to(j);
+        let dk = decode(&b.finish()).unwrap();
+
+        // The load may read what the store wrote, so the stored value
+        // joins the slice.
+        assert!(def_live(&dk, v) && def_live(&dk, acc));
+        assert_eq!(stores_live(&dk, Space::Global), vec![(0, true)]);
+    }
+
+    #[test]
+    fn slice_follows_shared_memory_across_a_barrier_into_an_address() {
+        let mut b = KernelBuilder::new("k");
+        b.shared_var("stage", 128);
+        let out = b.param_ptr("out");
+        let tid = b.special_tid_x(Type::U32);
+        let sbase = b.fresh(Type::U64);
+        b.push_guarded(
+            None,
+            Op::MovVarAddr {
+                dst: sbase,
+                var: "stage".to_string(),
+            },
+        );
+        let toff = b.mul(Type::U32, tid, Operand::Imm(4));
+        let tmask = b.and(Type::U32, toff, Operand::Imm(124));
+        let tw = b.cvt(Type::U64, Type::U32, tmask);
+        let slot = b.add(Type::U64, sbase, tw);
+        let v = b.mul(Type::U32, tid, Operand::Imm(8));
+        b.st(Space::Shared, Type::U32, slot, v);
+        b.bar_sync();
+        let back = b.ld(Space::Shared, Type::U32, slot);
+        let a = b.wide_address(out, back, 4);
+        b.st(Space::Global, Type::U32, a, tid);
+        let dk = decode(&b.finish()).unwrap();
+
+        assert!(def_live(&dk, back) && def_live(&dk, v));
+        assert_eq!(stores_live(&dk, Space::Shared), vec![(0, true)]);
+        assert_eq!(stores_live(&dk, Space::Global), vec![(0, false)]);
+    }
+
+    /// A kernel spilling two values to a `.local` array through `base`
+    /// (set up by `set_base`) and reloading one into an address from
+    /// `load_base(b, base)`; returns the kernel and the two values.
+    fn local_spill_kernel(
+        set_base: impl FnOnce(&mut KernelBuilder, crat_ptx::VReg),
+        load_base: impl FnOnce(&mut KernelBuilder, crat_ptx::VReg) -> crat_ptx::VReg,
+    ) -> (Kernel, crat_ptx::VReg, crat_ptx::VReg) {
+        let mut b = KernelBuilder::new("k");
+        b.local_var("slots", 8);
+        let base = b.fresh(Type::U64);
+        set_base(&mut b, base);
+        let out = b.param_ptr("out");
+        let tid = b.special_tid_x(Type::U32);
+        let kept = b.add(Type::U32, tid, Operand::Imm(1));
+        b.st(Space::Local, Type::U32, Address::reg_offset(base, 0), kept);
+        let other = b.add(Type::U32, tid, Operand::Imm(2));
+        b.st(Space::Local, Type::U32, Address::reg_offset(base, 4), other);
+        let from = load_base(&mut b, base);
+        let back = b.ld(Space::Local, Type::U32, Address::reg_offset(from, 0));
+        let a = b.wide_address(out, back, 4);
+        b.st(Space::Global, Type::U32, a, tid);
+        (b.finish(), kept, other)
+    }
+
+    fn mov_slots(b: &mut KernelBuilder, base: crat_ptx::VReg) {
+        b.push_guarded(
+            None,
+            Op::MovVarAddr {
+                dst: base,
+                var: "slots".to_string(),
+            },
+        );
+    }
+
+    #[test]
+    fn slice_keeps_only_the_spill_slot_a_constant_base_reload_reads() {
+        let (k, kept, other) = local_spill_kernel(mov_slots, |_, base| base);
+        let dk = decode(&k).unwrap();
+        assert!(def_live(&dk, kept));
+        assert!(!def_live(&dk, other), "slot +4 is never reloaded");
+        assert_eq!(stores_live(&dk, Space::Local), vec![(0, true), (4, false)]);
+    }
+
+    #[test]
+    fn slice_keeps_every_local_store_for_a_register_addressed_reload() {
+        let (k, kept, other) =
+            local_spill_kernel(mov_slots, |b, base| b.add(Type::U64, base, Operand::Imm(0)));
+        let dk = decode(&k).unwrap();
+        assert!(def_live(&dk, kept) && def_live(&dk, other));
+        assert_eq!(stores_live(&dk, Space::Local), vec![(0, true), (4, true)]);
+    }
+
+    #[test]
+    fn slice_treats_a_guarded_constant_mov_as_no_constant_base() {
+        // A false guard would leave the base at its old value, so the
+        // accesses through it may land anywhere.
+        let guarded = |b: &mut KernelBuilder, base| {
+            let tid = b.special_tid_x(Type::U32);
+            let p = b.setp(crat_ptx::CmpOp::Lt, Type::U32, tid, Operand::Imm(1 << 20));
+            b.push_guarded(
+                Some(crat_ptx::Guard::when(p)),
+                Op::MovVarAddr {
+                    dst: base,
+                    var: "slots".to_string(),
+                },
+            );
+        };
+        let (k, kept, other) = local_spill_kernel(guarded, |_, base| base);
+        let dk = decode(&k).unwrap();
+        assert!(def_live(&dk, kept) && def_live(&dk, other));
+        assert_eq!(stores_live(&dk, Space::Local), vec![(0, true), (4, true)]);
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! This crate is the evaluation substrate of the CRAT reproduction,
 //! standing in for GPGPU-Sim 3.2.3 (the paper's §7.1 platform). It
 //! executes kernels *functionally* at warp granularity — every lane
-//! carries real values, so memory addresses and therefore cache
-//! behaviour are exact — and models timing with:
+//! value that can reach a branch, a guard or an address is computed,
+//! so control flow, memory addresses and therefore cache behaviour are
+//! exact (values nothing observes are skipped, except by
+//! [`simulate_capture`], which returns memory and computes them all) —
+//! and models timing with:
 //!
 //! * SMs with configurable warp schedulers (GTO or loose round-robin),
 //!   per-warp scoreboards, and barrier synchronization;

@@ -21,6 +21,14 @@
 //! memory accesses, SFU transcendentals) keeps a scalar per-lane
 //! fallback.
 //!
+//! Only [`simulate_capture`], which returns global memory, computes
+//! every lane value. The stats-only entry points compute the value
+//! slice alone ([`DecodedInst::feeds_stats`]): an instruction off the
+//! slice skips its row kernels, per-lane reads and byte writes, and
+//! keeps everything timing reads (its mask, counters, scoreboard bit,
+//! write-back, address resolution, coalescing, memory-system traffic
+//! and shared/local bounds checks).
+//!
 //! A cycle in which no scheduler issues fast-forwards: the machine
 //! state is frozen until the next write-back or bank busy-window
 //! expiry ([`Machine::next_event_after`]), so `now` jumps straight
@@ -68,6 +76,9 @@ const NEVER: u64 = u64::MAX;
 /// (TLP sweeps, design-space search) should [`decode`] once and use
 /// [`simulate_decoded`] instead.
 ///
+/// Lane values are computed only where they can reach the statistics
+/// (the decoded value slice); [`simulate_capture`] computes them all.
+///
 /// `regs_per_thread` is the per-thread register count used for
 /// occupancy (the allocator's `slots_used`; pass the config's
 /// `max_regs_per_thread` for unallocated kernels, which models the
@@ -92,7 +103,9 @@ pub fn simulate(
 /// Like [`simulate`], additionally returning the final global-memory
 /// contents (address → raw value of every store). Used to check that
 /// program transformations (register allocation, spill re-homing)
-/// preserve observable behaviour.
+/// preserve observable behaviour. Memory needs every value, so this
+/// entry point computes every lane of every instruction; its
+/// [`SimStats`] equal [`simulate`]'s.
 ///
 /// # Errors
 ///
@@ -105,13 +118,14 @@ pub fn simulate_capture(
     tlp_cap: Option<u32>,
 ) -> Result<(SimStats, HashMap<u64, u64>), SimError> {
     let dk = decode(kernel)?;
-    let m = run_machine(&dk, cfg, launch, regs_per_thread, tlp_cap, None)?;
+    let m = run_machine(&dk, cfg, launch, regs_per_thread, tlp_cap, None, true)?;
     Ok((m.stats, m.global.into_map()))
 }
 
 /// [`simulate`] over an already-decoded kernel, skipping validation
 /// and lowering. This is the hot entry point for evaluation engines
-/// that cache [`DecodedKernel`]s across launches.
+/// that cache [`DecodedKernel`]s across launches. Like [`simulate`],
+/// it computes only the value slice's lane values.
 ///
 /// With `deadline: Some(t)` the cycle loop periodically compares
 /// `Instant::now()` against `t` and, once it has passed, stops with
@@ -131,12 +145,13 @@ pub fn simulate_decoded(
     tlp_cap: Option<u32>,
     deadline: Option<Instant>,
 ) -> Result<SimStats, SimError> {
-    Ok(run_machine(dk, cfg, launch, regs_per_thread, tlp_cap, deadline)?.stats)
+    Ok(run_machine(dk, cfg, launch, regs_per_thread, tlp_cap, deadline, false)?.stats)
 }
 
 /// Validate the launch, fill the SM with its resident blocks, and run
 /// the cycle loop to completion; the finished machine carries every
-/// output the entry points return.
+/// output the entry points return. `all_values` computes every lane
+/// value, not only the value slice's.
 fn run_machine<'a>(
     dk: &'a DecodedKernel,
     cfg: &'a GpuConfig,
@@ -144,6 +159,7 @@ fn run_machine<'a>(
     regs_per_thread: u32,
     tlp_cap: Option<u32>,
     deadline: Option<Instant>,
+    all_values: bool,
 ) -> Result<Machine<'a>, SimError> {
     crate::config::fault::fire_sim_panic();
     check_launch(cfg, launch)?;
@@ -166,6 +182,7 @@ fn run_machine<'a>(
 
     let mut m = Machine::new(dk, cfg, launch, blocks_this_sm);
     m.deadline = deadline;
+    m.all_values = all_values;
     m.stats.resident_blocks = resident;
     for _ in 0..resident {
         m.launch_block()?;
@@ -396,6 +413,9 @@ struct Machine<'a> {
     deadline: Option<Instant>,
     /// Iterations until the next deadline check.
     deadline_countdown: u32,
+    /// Compute every lane value ([`simulate_capture`]), not only the
+    /// value slice's.
+    all_values: bool,
     stats: SimStats,
     /// Reusable operand/result rows for the vector execute path.
     /// Allocated once: fresh stack rows would cost a 1 KiB zero-fill
@@ -467,6 +487,7 @@ impl<'a> Machine<'a> {
             shm_busy_head: vec![NO_WARP; cfg.num_schedulers as usize],
             deadline: None,
             deadline_countdown: 0,
+            all_values: false,
             stats: {
                 let mut stats = SimStats::default();
                 stats.attribution.init_schedulers(cfg.num_schedulers);
@@ -1263,7 +1284,8 @@ impl<'a> Machine<'a> {
     /// [`crate::vexec`] compute all 32 lanes at once (every operation
     /// is total, so inactive lanes are safe to compute) into a
     /// temporary row, and a masked blend commits only the active lanes
-    /// — bit-identical to the per-lane loop it replaces.
+    /// — bit-identical to the per-lane loop it replaces. Off the value
+    /// slice, neither runs.
     fn exec_alu(&mut self, i: usize, inst: &DecodedInst) -> Result<IssueOutcome, SimError> {
         self.stats.warp_insts += 1;
         let warp_size = self.cfg.warp_size;
@@ -1285,9 +1307,9 @@ impl<'a> Machine<'a> {
         // the define: writing the register row in place instead saved
         // no measurable time (1.003 over 32 `suite-cold` pairs; DESIGN.md
         // §5 ablation table).
-        match inst.op {
-            DOp::Mov { ty, dst, src } => {
-                match src {
+        if inst.feeds_stats || self.all_values {
+            match inst.op {
+                DOp::Mov { ty, src, .. } => match src {
                     // Converted and truncated at decode time.
                     DSrc::Val(v) => *out = [v; 32],
                     DSrc::Reg(r) => vexec::trunc_rows(ty, &w.regs[r as usize], out),
@@ -1314,66 +1336,44 @@ impl<'a> Machine<'a> {
                             *out = [interp::truncate(ty, w.warp_in_block as u64); 32];
                         }
                     },
+                },
+                DOp::Unary { op, ty, src, .. } => {
+                    vexec::unary_rows(op, ty, src_row(&w.regs, src, sa), out);
                 }
-                vexec::blend(&mut w.regs[dst as usize], out, mask);
-                set_pending(w, dst);
+                DOp::Binary { op, ty, a, b, .. } => {
+                    let ar = src_row(&w.regs, a, sa);
+                    let br = src_row(&w.regs, b, sb);
+                    vexec::binary_rows(op, ty, ar, br, out);
+                }
+                DOp::Mad { ty, a, b, c, .. } => {
+                    let ar = src_row(&w.regs, a, sa);
+                    let br = src_row(&w.regs, b, sb);
+                    let cr = src_row(&w.regs, c, sc);
+                    vexec::mad_rows(ty, ar, br, cr, out);
+                }
+                DOp::Cvt {
+                    dst_ty,
+                    src_ty,
+                    src,
+                    ..
+                } => vexec::cvt_rows(dst_ty, src_ty, src_row(&w.regs, src, sa), out),
+                DOp::Setp { cmp, ty, a, b, .. } => {
+                    let ar = src_row(&w.regs, a, sa);
+                    let br = src_row(&w.regs, b, sb);
+                    vexec::setp_rows(cmp, ty, ar, br, out);
+                }
+                DOp::Selp { ty, a, b, pred, .. } => {
+                    let ar = src_row(&w.regs, a, sa);
+                    let br = src_row(&w.regs, b, sb);
+                    vexec::selp_rows(ty, ar, br, &w.regs[pred as usize], out);
+                }
+                DOp::Ld { .. } | DOp::St { .. } | DOp::Bar => {
+                    unreachable!("not vector-class operations")
+                }
             }
-            DOp::Unary { op, ty, dst, src } => {
-                let ar = src_row(&w.regs, src, sa);
-                vexec::unary_rows(op, ty, ar, out);
-                vexec::blend(&mut w.regs[dst as usize], out, mask);
-                set_pending(w, dst);
-            }
-            DOp::Binary { op, ty, dst, a, b } => {
-                let ar = src_row(&w.regs, a, sa);
-                let br = src_row(&w.regs, b, sb);
-                vexec::binary_rows(op, ty, ar, br, out);
-                vexec::blend(&mut w.regs[dst as usize], out, mask);
-                set_pending(w, dst);
-            }
-            DOp::Mad { ty, dst, a, b, c } => {
-                let ar = src_row(&w.regs, a, sa);
-                let br = src_row(&w.regs, b, sb);
-                let cr = src_row(&w.regs, c, sc);
-                vexec::mad_rows(ty, ar, br, cr, out);
-                vexec::blend(&mut w.regs[dst as usize], out, mask);
-                set_pending(w, dst);
-            }
-            DOp::Cvt {
-                dst_ty,
-                src_ty,
-                dst,
-                src,
-            } => {
-                let ar = src_row(&w.regs, src, sa);
-                vexec::cvt_rows(dst_ty, src_ty, ar, out);
-                vexec::blend(&mut w.regs[dst as usize], out, mask);
-                set_pending(w, dst);
-            }
-            DOp::Setp { cmp, ty, dst, a, b } => {
-                let ar = src_row(&w.regs, a, sa);
-                let br = src_row(&w.regs, b, sb);
-                vexec::setp_rows(cmp, ty, ar, br, out);
-                vexec::blend(&mut w.regs[dst as usize], out, mask);
-                set_pending(w, dst);
-            }
-            DOp::Selp {
-                ty,
-                dst,
-                a,
-                b,
-                pred,
-            } => {
-                let ar = src_row(&w.regs, a, sa);
-                let br = src_row(&w.regs, b, sb);
-                vexec::selp_rows(ty, ar, br, &w.regs[pred as usize], out);
-                vexec::blend(&mut w.regs[dst as usize], out, mask);
-                set_pending(w, dst);
-            }
-            DOp::Ld { .. } | DOp::St { .. } | DOp::Bar => {
-                unreachable!("not vector-class operations")
-            }
+            vexec::blend(&mut w.regs[inst.def as usize], out, mask);
         }
+        set_pending(w, inst.def);
 
         let generation = w.generation;
         w.frame_mut().pc_idx += 1;
@@ -1385,7 +1385,8 @@ impl<'a> Machine<'a> {
 
     /// Scalar SFU fallback: transcendental unaries and integer div/rem
     /// execute one active lane at a time (per-lane libm / checked
-    /// division does not vectorize) at SFU latency.
+    /// division does not vectorize) at SFU latency. Off the value
+    /// slice, no lane runs.
     fn exec_sfu(&mut self, i: usize, inst: &DecodedInst) -> Result<IssueOutcome, SimError> {
         self.stats.warp_insts += 1;
         let w = self.warps[i].as_mut().expect("warp exists");
@@ -1393,24 +1394,26 @@ impl<'a> Machine<'a> {
         self.stats.thread_insts += u64::from(mask.count_ones());
         self.stats.sfu_insts += 1;
 
-        match inst.op {
-            DOp::Unary { op, ty, dst, src } => {
-                for lane in Lanes(mask) {
-                    let a = typed_src(w, src, ty, lane);
-                    w.regs[dst as usize][lane] = interp::unary_op(op, ty, a);
+        if inst.feeds_stats || self.all_values {
+            let dst = inst.def as usize;
+            match inst.op {
+                DOp::Unary { op, ty, src, .. } => {
+                    for lane in Lanes(mask) {
+                        let a = typed_src(w, src, ty, lane);
+                        w.regs[dst][lane] = interp::unary_op(op, ty, a);
+                    }
                 }
-                set_pending(w, dst);
-            }
-            DOp::Binary { op, ty, dst, a, b } => {
-                for lane in Lanes(mask) {
-                    let x = typed_src(w, a, ty, lane);
-                    let y = typed_src(w, b, ty, lane);
-                    w.regs[dst as usize][lane] = interp::binary_op(op, ty, x, y);
+                DOp::Binary { op, ty, a, b, .. } => {
+                    for lane in Lanes(mask) {
+                        let x = typed_src(w, a, ty, lane);
+                        let y = typed_src(w, b, ty, lane);
+                        w.regs[dst][lane] = interp::binary_op(op, ty, x, y);
+                    }
                 }
-                set_pending(w, dst);
+                _ => unreachable!("SFU class covers unary and binary ops"),
             }
-            _ => unreachable!("SFU class covers unary and binary ops"),
         }
+        set_pending(w, inst.def);
 
         let generation = w.generation;
         w.frame_mut().pc_idx += 1;
@@ -1517,47 +1520,50 @@ impl<'a> Machine<'a> {
             _ => {}
         }
 
-        // Functional.
+        // Functional. Off the value slice nothing is read: only the
+        // shared and local bounds checks remain.
+        let live = inst.feeds_stats || self.all_values;
         let block_slot = w.block_slot;
         let warp_in_block = w.warp_in_block;
         let mut values = [0u64; 32];
-        for lane in Lanes(mask) {
-            let a = lane_addrs[lane];
-            values[lane] = match space {
-                Space::Param => {
-                    let DAddrBase::Param(pi) = addr.base else {
-                        unreachable!("validated param address")
-                    };
-                    self.param_vals[pi as usize]
+        match space {
+            Space::Param if live => {
+                let DAddrBase::Param(pi) = addr.base else {
+                    unreachable!("validated param address")
+                };
+                values = [interp::truncate(ty, self.param_vals[pi as usize]); 32];
+            }
+            Space::Global if live => {
+                for lane in Lanes(mask) {
+                    values[lane] = interp::truncate(ty, self.global.load(lane_addrs[lane]));
                 }
-                Space::Global => self.global.load(a),
-                Space::Shared => {
-                    let b = self.blocks[block_slot].as_ref().expect("block exists");
-                    read_bytes(&b.shared, a, size).ok_or(SimError::OutOfBounds {
-                        space,
-                        addr: a,
-                        size: b.shared.len() as u64,
-                    })?
-                }
-                Space::Local => {
-                    let b = self.blocks[block_slot].as_ref().expect("block exists");
+            }
+            Space::Shared | Space::Local => {
+                let b = self.blocks[block_slot].as_ref().expect("block exists");
+                let buf = if space == Space::Shared {
+                    &b.shared
+                } else {
+                    &b.local
+                };
+                for lane in Lanes(mask) {
                     let tid = warp_in_block * self.cfg.warp_size + lane as u32;
-                    let off = tid as u64 * self.local_bytes as u64 + a;
-                    read_bytes(&b.local, off, size).ok_or(SimError::OutOfBounds {
-                        space,
-                        addr: a,
-                        size: self.local_bytes as u64,
-                    })?
+                    let off =
+                        lane_offset(space, buf, self.local_bytes, tid, lane_addrs[lane], size)?;
+                    if live {
+                        values[lane] = interp::truncate(ty, read_bytes(buf, off, size));
+                    }
                 }
-            };
-            values[lane] = interp::truncate(ty, values[lane]);
+            }
+            Space::Param | Space::Global => {}
         }
 
         self.stats.warp_insts += 1;
         self.stats.thread_insts += nactive;
         let generation = {
             let w = self.warps[i].as_mut().expect("warp exists");
-            vexec::blend(&mut w.regs[dst as usize], &values, mask);
+            if live {
+                vexec::blend(&mut w.regs[dst as usize], &values, mask);
+            }
             set_pending(w, dst);
             w.frame_mut().pc_idx += 1;
             w.generation
@@ -1583,9 +1589,7 @@ impl<'a> Machine<'a> {
         let size = ty.size_bytes() as u64;
 
         let mut lane_addrs = [0u64; 32];
-        let mut lane_vals = [0u64; 32];
         resolve_addrs(w, addr, &mut lane_addrs);
-        self.store_src_rows(w, src, ty, mask, &mut lane_vals);
 
         match space {
             Space::Param => {
@@ -1624,37 +1628,38 @@ impl<'a> Machine<'a> {
             self.mem.store_warp(lines, self.now, &mut self.stats);
         }
 
-        // Functional.
+        // Functional. Off the value slice nothing is written: only the
+        // shared and local bounds checks remain.
+        let live = inst.feeds_stats || self.all_values;
+        let mut lane_vals = [0u64; 32];
+        if live {
+            self.store_src_rows(w, src, ty, mask, &mut lane_vals);
+        }
         let block_slot = w.block_slot;
         let warp_in_block = w.warp_in_block;
-        for lane in Lanes(mask) {
-            let a = lane_addrs[lane];
-            let v = lane_vals[lane];
-            match space {
-                Space::Global => {
-                    self.global.store(a, v);
+        match space {
+            Space::Global if live => {
+                for lane in Lanes(mask) {
+                    self.global.store(lane_addrs[lane], lane_vals[lane]);
                 }
-                Space::Shared => {
-                    let b = self.blocks[block_slot].as_mut().expect("block exists");
-                    let len = b.shared.len() as u64;
-                    write_bytes(&mut b.shared, a, size, v).ok_or(SimError::OutOfBounds {
-                        space,
-                        addr: a,
-                        size: len,
-                    })?;
-                }
-                Space::Local => {
-                    let b = self.blocks[block_slot].as_mut().expect("block exists");
-                    let tid = warp_in_block * self.cfg.warp_size + lane as u32;
-                    let off = tid as u64 * self.local_bytes as u64 + a;
-                    write_bytes(&mut b.local, off, size, v).ok_or(SimError::OutOfBounds {
-                        space,
-                        addr: a,
-                        size: self.local_bytes as u64,
-                    })?;
-                }
-                Space::Param => unreachable!("rejected above"),
             }
+            Space::Shared | Space::Local => {
+                let b = self.blocks[block_slot].as_mut().expect("block exists");
+                let buf = if space == Space::Shared {
+                    &mut b.shared
+                } else {
+                    &mut b.local
+                };
+                for lane in Lanes(mask) {
+                    let tid = warp_in_block * self.cfg.warp_size + lane as u32;
+                    let off =
+                        lane_offset(space, buf, self.local_bytes, tid, lane_addrs[lane], size)?;
+                    if live {
+                        write_bytes(buf, off, size, lane_vals[lane]);
+                    }
+                }
+            }
+            Space::Global | Space::Param => {}
         }
 
         self.stats.warp_insts += 1;
@@ -1761,27 +1766,51 @@ fn set_pending(w: &mut Warp, dst: u32) {
     }
 }
 
-fn read_bytes(buf: &[u8], addr: u64, size: u64) -> Option<u64> {
-    let end = addr.checked_add(size)?;
-    if end as usize > buf.len() {
-        return None;
+/// The byte offset of thread `tid`'s `size`-byte shared or local access
+/// at `addr` in its block's buffer `buf` (local frames of `frame_bytes`
+/// sit back to back, one per thread), or the out-of-bounds error.
+/// Value-dead accesses run it too, so they fail where full execution
+/// does.
+fn lane_offset(
+    space: Space,
+    buf: &[u8],
+    frame_bytes: u32,
+    tid: u32,
+    addr: u64,
+    size: u64,
+) -> Result<usize, SimError> {
+    let (off, bound) = if space == Space::Local {
+        let frame = u64::from(frame_bytes);
+        (u64::from(tid) * frame + addr, frame)
+    } else {
+        (addr, buf.len() as u64)
+    };
+    match off.checked_add(size) {
+        Some(end) if end as usize <= buf.len() => Ok(off as usize),
+        _ => Err(SimError::OutOfBounds {
+            space,
+            addr,
+            size: bound,
+        }),
     }
-    let mut v = 0u64;
-    for k in 0..size {
-        v |= (buf[(addr + k) as usize] as u64) << (8 * k);
-    }
-    Some(v)
 }
 
-fn write_bytes(buf: &mut [u8], addr: u64, size: u64, v: u64) -> Option<()> {
-    let end = addr.checked_add(size)?;
-    if end as usize > buf.len() {
-        return None;
+/// The little-endian `size`-byte value at byte `off` of `buf`, which
+/// [`lane_offset`] has bounds-checked.
+fn read_bytes(buf: &[u8], off: usize, size: u64) -> u64 {
+    let mut v = 0u64;
+    for k in 0..size as usize {
+        v |= (buf[off + k] as u64) << (8 * k);
     }
-    for k in 0..size {
-        buf[(addr + k) as usize] = (v >> (8 * k)) as u8;
+    v
+}
+
+/// Write `v`'s low `size` bytes little-endian at byte `off` of `buf`,
+/// which [`lane_offset`] has bounds-checked.
+fn write_bytes(buf: &mut [u8], off: usize, size: u64, v: u64) {
+    for k in 0..size as usize {
+        buf[off + k] = (v >> (8 * k)) as u8;
     }
-    Some(())
 }
 #[cfg(test)]
 mod tests {

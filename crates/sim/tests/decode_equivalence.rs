@@ -3,7 +3,9 @@
 //! pre-decode implementation preserved verbatim) — same [`SimStats`],
 //! same captured global memory, same errors — on hand-built kernels
 //! covering every operand and control-flow shape, and on randomly
-//! generated straight-line and branching kernels.
+//! generated straight-line and branching kernels. The stats-only entry
+//! point, which computes only the value slice's lane values, must
+//! return the same statistics and errors.
 
 use proptest::prelude::*;
 
@@ -11,7 +13,8 @@ use crat_ptx::{Address, BinOp, CmpOp, Guard, KernelBuilder, Op, Operand, Space, 
 use crat_sim::{GpuConfig, Lanes, LaunchConfig, SchedulerKind};
 
 /// Run both interpreters at one operating point and demand identical
-/// results, including identical errors.
+/// results, including identical errors; the value-sliced `simulate`
+/// must match the reference's statistics and errors too.
 fn assert_identical(
     kernel: &crat_ptx::Kernel,
     cfg: &GpuConfig,
@@ -21,6 +24,13 @@ fn assert_identical(
 ) {
     let new = crat_sim::simulate_capture(kernel, cfg, launch, regs, tlp);
     let old = crat_sim::reference::simulate_capture(kernel, cfg, launch, regs, tlp);
+    let sliced = crat_sim::simulate(kernel, cfg, launch, regs, tlp);
+    assert_eq!(
+        sliced,
+        old.clone().map(|(s, _)| s),
+        "value-sliced outcome diverges for `{}`",
+        kernel.name()
+    );
     match (new, old) {
         (Ok((ns, nm)), Ok((os, om))) => {
             // Attribution must satisfy its own invariant in both
@@ -225,6 +235,78 @@ fn errors_are_bit_identical() {
     assert_identical(&b.finish(), &cfg, &good, 16, None);
 }
 
+/// Value-dead shared and local loads and stores skip their lane work
+/// but not their bounds checks: each fails with the reference's error,
+/// at the first active lane out of bounds (the guard leaves only odd
+/// lanes active, so that is not the first lane past the bound).
+#[test]
+fn value_dead_accesses_fail_out_of_bounds_like_the_reference() {
+    let cfg = GpuConfig::fermi();
+    let launch = LaunchConfig::new(2, 64).with_param("out", 0x20_0000);
+    for space in [Space::Shared, Space::Local] {
+        for store in [false, true] {
+            let mut b = KernelBuilder::new("oob");
+            b.shared_var("stage", 64);
+            b.local_var("slots", 16);
+            let out = b.param_ptr("out");
+            let tid = b.special_tid_x(Type::U32);
+            let base = b.fresh(Type::U64);
+            let var = if space == Space::Shared {
+                "stage"
+            } else {
+                "slots"
+            };
+            b.push_guarded(
+                None,
+                Op::MovVarAddr {
+                    dst: base,
+                    var: var.to_string(),
+                },
+            );
+            let off = b.mul(Type::U32, tid, Operand::Imm(4));
+            let offw = b.cvt(Type::U64, Type::U32, off);
+            let addr = Address::reg(b.add(Type::U64, base, offw));
+            let low = b.and(Type::U32, tid, Operand::Imm(1));
+            let odd = b.setp(CmpOp::Eq, Type::U32, low, Operand::Imm(1));
+            let op = if store {
+                Op::St {
+                    space,
+                    ty: Type::U32,
+                    addr,
+                    src: Operand::Reg(tid),
+                }
+            } else {
+                let dst = b.fresh(Type::U32);
+                Op::Ld {
+                    space,
+                    ty: Type::U32,
+                    dst,
+                    addr,
+                }
+            };
+            b.push_guarded(Some(Guard::when(odd)), op);
+            let oaddr = b.wide_address(out, tid, 4);
+            b.st(Space::Global, Type::U32, oaddr, tid);
+            let k = b.finish();
+
+            let dk = crat_sim::decode(&k).unwrap();
+            let access = dk
+                .blocks()
+                .iter()
+                .flat_map(|blk| &blk.insts)
+                .find(|i| i.guard != crat_sim::decode::NO_REG)
+                .expect("the guarded access");
+            assert!(!access.feeds_stats, "{space:?} access must be value-dead");
+            let sliced = crat_sim::simulate(&k, &cfg, &launch, 16, None);
+            assert!(
+                matches!(sliced, Err(crat_sim::SimError::OutOfBounds { .. })),
+                "{space:?} store={store}: {sliced:?}"
+            );
+            assert_identical(&k, &cfg, &launch, 16, None);
+        }
+    }
+}
+
 /// A kernel whose guarded instructions all execute under the lane mask
 /// shaped by `make_pred`: a guarded mov (masked vector blend into an
 /// existing row), a guarded self-referential add (`dst` aliases a
@@ -358,8 +440,9 @@ fn lanes_edge_masks() {
     );
 }
 
-/// Recipe for a random kernel: a straight line of mixed ops, optionally
-/// wrapped in a counted loop and split by a uniform diamond.
+/// Recipe for a random kernel: a straight line of mixed ops (local
+/// spill slots behind a constant base and shared staging included),
+/// optionally wrapped in a counted loop and split by a uniform diamond.
 #[derive(Debug, Clone)]
 struct Recipe {
     ops: Vec<u8>,
@@ -371,7 +454,7 @@ struct Recipe {
 
 fn recipe() -> impl Strategy<Value = Recipe> {
     (
-        prop::collection::vec(0u8..8, 1..20),
+        prop::collection::vec(0u8..10, 1..20),
         1u8..6,
         any::<bool>(),
         any::<bool>(),
@@ -388,6 +471,17 @@ fn recipe() -> impl Strategy<Value = Recipe> {
 
 fn build(r: &Recipe) -> crat_ptx::Kernel {
     let mut b = KernelBuilder::new("rand");
+    b.local_var("slots", 16);
+    b.shared_var("stage", 256);
+    // Spill code's shape: the local base is a constant set up first.
+    let lbase = b.fresh(Type::U64);
+    b.push_guarded(
+        None,
+        Op::MovVarAddr {
+            dst: lbase,
+            var: "slots".to_string(),
+        },
+    );
     let inp = b.param_ptr("inp");
     let out = b.param_ptr("out");
     let tid = b.special_tid_x(Type::U32);
@@ -396,6 +490,15 @@ fn build(r: &Recipe) -> crat_ptx::Kernel {
     let prod = b.mul(Type::U32, ctaid, ntid);
     let gid = b.add(Type::U32, tid, prod);
     let mut acc = b.mov(Type::U32, Operand::Imm(1));
+    let sbase = b.fresh(Type::U64);
+    b.push_guarded(
+        None,
+        Op::MovVarAddr {
+            dst: sbase,
+            var: "stage".to_string(),
+        },
+    );
+    let soff = b.wide_address(sbase, tid, 4);
 
     let l = r.looped.then(|| b.loop_range(0, r.trips as i64, 1));
     let body = |b: &mut KernelBuilder, acc: &mut crat_ptx::VReg| {
@@ -419,7 +522,20 @@ fn build(r: &Recipe) -> crat_ptx::Kernel {
                     let p = b.setp(CmpOp::Lt, Type::U32, *acc, Operand::Imm(1000));
                     b.selp(Type::U32, *acc, gid, p)
                 }
-                _ => b.mad(Type::U32, *acc, Operand::Imm(5), gid),
+                7 => b.mad(Type::U32, *acc, Operand::Imm(5), gid),
+                8 => {
+                    // Spill to one slot, reload another (maybe unwritten).
+                    let slot = |k: usize| Address::reg_offset(lbase, 4 * (k % 4) as i64);
+                    b.st(Space::Local, Type::U32, slot(i), *acc);
+                    let x = b.ld(Space::Local, Type::U32, slot(i + 1));
+                    b.add(Type::U32, *acc, x)
+                }
+                _ => {
+                    b.st(Space::Shared, Type::U32, soff, *acc);
+                    b.bar_sync();
+                    let x = b.ld(Space::Shared, Type::U32, soff);
+                    b.mul(Type::U32, x, Operand::Imm(7))
+                }
             };
             if (i as u8).is_multiple_of(r.guard_period) {
                 let p = b.setp(CmpOp::Lt, Type::U32, tid, Operand::Imm(16));
@@ -608,6 +724,11 @@ proptest! {
         let new = crat_sim::simulate_capture(&k, &cfg, &launch, 24, Some(2));
         let old = crat_sim::reference::simulate_capture(&k, &cfg, &launch, 24, Some(2));
         prop_assert_eq!(new, old);
+        // The value-sliced path skips the lane work the statistics
+        // cannot see; the reference computes every lane.
+        let sliced = crat_sim::simulate(&k, &cfg, &launch, 24, Some(2));
+        let full = crat_sim::reference::simulate(&k, &cfg, &launch, 24, Some(2));
+        prop_assert_eq!(sliced, full);
     }
 
     /// Bulk attribution folding (fast-forward jumps charging N cycles

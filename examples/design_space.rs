@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // What pruning would keep with a throttled OptTLP.
     let sol = optimize_with(
-        &EvalEngine::from_env(None),
+        &EvalEngine::from_env(None, None),
         &kernel,
         &gpu,
         &launch,

@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let launch = launch(app);
     // One engine for the whole run: the comparison below reuses the
     // simulations the pipeline already ran.
-    let engine = EvalEngine::from_env(None);
+    let engine = EvalEngine::from_env(None, None);
 
     println!("== {} ({} / {}) ==", app.name, app.kernel, app.suite);
 

@@ -118,12 +118,12 @@ cargo bench --workspace --no-run
 # Throughput tier: the decoded path must stay well ahead of the
 # reference interpreter (crat_sim::reference) on the probe mix. Both
 # are timed in this run, rep by rep on the same app, so the ratio
-# holds on any machine: measured 4.5-5.0x on a 2-core box with the
-# row kernels compiled once for the baseline target (4.4-5.0x with
-# their AVX2 dispatch, 4.2-4.7x before the O(1) memory path), 4.56x on
-# the original one (see the EXPERIMENTS.md throughput history). The
-# 3.0x bound leaves headroom for noise; a fall back to scalar-era
-# rates (2.18x) fails loudly.
+# holds on any machine: measured 6.2-6.6x on a 2-core box since the
+# probe's `simulate_decoded` skips the lane work off the value slice
+# (4.5-5.0x computing every lane, 4.2-4.7x before the O(1) memory
+# path), 4.56x on the original one (see the EXPERIMENTS.md throughput
+# history). The 3.0x bound leaves headroom for noise; a fall back to
+# scalar-era rates (2.18x) fails loudly.
 # This gate cannot see a memory-path regression: both sides share
 # `MemorySystem` and `Cache`, and its grid-30 mix barely stalls (1,557
 # reservation failures against 32,868 global and local memory
