@@ -72,7 +72,7 @@ use std::time::Instant;
 
 use crat_ptx::Kernel;
 use crat_regalloc::{AllocContext, AllocError, Allocation, StrategyKind};
-use crat_sim::{DecodedKernel, GpuConfig, LaunchConfig, SimError, SimStats};
+use crat_sim::{counters, DecodedKernel, GpuConfig, LaunchConfig, SimError, SimStats};
 
 use crate::store::{RecordKey, ResultStore, StoreConfig};
 use crate::CratError;
@@ -237,35 +237,6 @@ impl EvalBudget {
     }
 }
 
-/// Declare a counter struct from one table. Each row, a doc comment
-/// and a name, becomes a pub `u64` field and an entry of
-/// `counters()`, in table order. The JSON and CSV exporters iterate
-/// that list, so a new counter is one row here plus the site that
-/// bumps it. Typed fields after the braces stay out of `counters()`.
-macro_rules! counters {
-    (
-        $(#[$meta:meta])*
-        pub struct $name:ident {
-            $($(#[$doc:meta])* $field:ident,)*
-        }
-        $($(#[$xdoc:meta])* $xfield:ident: $xty:ty,)*
-    ) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct $name {
-            $($(#[$doc])* pub $field: u64,)*
-            $($(#[$xdoc])* pub $xfield: $xty,)*
-        }
-
-        impl $name {
-            /// Every counter as `(name, value)`, in declaration order.
-            pub fn counters(&self) -> [(&'static str, u64); [$(stringify!($field)),*].len()] {
-                [$((stringify!($field), self.$field)),*]
-            }
-        }
-    };
-}
-
 counters! {
     /// Per-strategy allocation counters, indexed by
     /// [`StrategyKind::index`](crat_regalloc::StrategyKind::index) in
@@ -273,6 +244,7 @@ counters! {
     /// sweep only — the default-allocation ladder (OptTLP profiling and
     /// the MaxTlp/OptTlp baselines) does not attribute its allocations to
     /// a strategy.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct StrategyStats {
         /// Design points at which this strategy was attempted.
         attempts,
@@ -289,6 +261,7 @@ counters! {
 counters! {
     /// A snapshot of the engine's counters. None reads a clock, so the
     /// same calls give the same snapshot at any thread count.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct EngineStats {
         /// Simulations actually executed (cache misses).
         sims_executed,

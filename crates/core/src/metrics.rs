@@ -9,10 +9,11 @@
 //! through [`stats_to_json`]/[`stats_from_json`], so a value always
 //! round-trips bit-identically (all counters are integers).
 //!
-//! Both engine exporters iterate [`EngineStats::counters`], so JSON and
-//! CSV carry every counter under the name it is declared with. No
-//! engine counter reads a clock, so a metrics document is stable
-//! across `--threads 1` and `--threads N`.
+//! The [`SimStats`] codec iterates [`SimStats::counters`] and both
+//! engine exporters iterate [`EngineStats::counters`], so JSON and CSV
+//! carry every counter under the name it is declared with. No engine
+//! counter reads a clock, so a metrics document is stable across
+//! `--threads 1` and `--threads N`.
 
 use std::fmt::Write as _;
 
@@ -386,152 +387,49 @@ impl Parser<'_> {
     }
 }
 
-/// Serialize a [`SimStats`] — every counter plus the attribution, with
-/// cause counts keyed by [`StallCause::name`].
+/// Serialize a [`SimStats`] — every counter of its table, then the
+/// attribution, with cause counts keyed by [`StallCause::name`].
 pub fn stats_to_json(stats: &SimStats) -> Json {
-    let int = Json::Int;
-    let attribution = Json::Obj(vec![
-        (
-            "per_scheduler".to_string(),
-            Json::Arr(
-                stats
-                    .attribution
-                    .per_scheduler
+    let rows = stats
+        .attribution
+        .per_scheduler
+        .iter()
+        .map(|row| {
+            Json::Obj(
+                StallCause::ALL
                     .iter()
-                    .map(|row| {
-                        Json::Obj(
-                            StallCause::ALL
-                                .iter()
-                                .map(|&c| (c.name().to_string(), int(row[c as usize])))
-                                .collect(),
-                        )
-                    })
+                    .map(|&c| (c.name().to_string(), Json::Int(row[c as usize])))
                     .collect(),
-            ),
-        ),
-        (
-            "warp_issued".to_string(),
-            Json::Arr(
-                stats
-                    .attribution
-                    .warp_issued
-                    .iter()
-                    .map(|&v| int(v))
-                    .collect(),
-            ),
-        ),
-        (
-            "warp_head_stalls".to_string(),
-            Json::Arr(
-                stats
-                    .attribution
-                    .warp_head_stalls
-                    .iter()
-                    .map(|&v| int(v))
-                    .collect(),
-            ),
-        ),
-        (
-            "block_issued".to_string(),
-            Json::Arr(
-                stats
-                    .attribution
-                    .block_issued
-                    .iter()
-                    .map(|&v| int(v))
-                    .collect(),
-            ),
-        ),
-    ]);
-    Json::Obj(vec![
-        ("cycles".to_string(), int(stats.cycles)),
-        ("warp_insts".to_string(), int(stats.warp_insts)),
-        ("thread_insts".to_string(), int(stats.thread_insts)),
-        ("blocks".to_string(), int(u64::from(stats.blocks))),
-        (
-            "resident_blocks".to_string(),
-            int(u64::from(stats.resident_blocks)),
-        ),
-        ("l1_accesses".to_string(), int(stats.l1_accesses)),
-        ("l1_hits".to_string(), int(stats.l1_hits)),
-        (
-            "l1_reservation_fails".to_string(),
-            int(stats.l1_reservation_fails),
-        ),
-        ("l2_accesses".to_string(), int(stats.l2_accesses)),
-        ("l2_hits".to_string(), int(stats.l2_hits)),
-        (
-            "dram_transactions".to_string(),
-            int(stats.dram_transactions),
-        ),
-        ("global_insts".to_string(), int(stats.global_insts)),
-        ("local_insts".to_string(), int(stats.local_insts)),
-        ("shared_insts".to_string(), int(stats.shared_insts)),
-        (
-            "shm_bank_conflicts".to_string(),
-            int(stats.shm_bank_conflicts),
-        ),
-        ("local_bytes".to_string(), int(stats.local_bytes)),
-        ("sfu_insts".to_string(), int(stats.sfu_insts)),
-        ("barrier_insts".to_string(), int(stats.barrier_insts)),
-        (
-            "divergent_branches".to_string(),
-            int(stats.divergent_branches),
-        ),
-        ("attribution".to_string(), attribution),
-    ])
+            )
+        })
+        .collect();
+    let attribution = Json::Obj(vec![("per_scheduler".to_string(), Json::Arr(rows))]);
+    let mut fields = int_fields(&stats.counters());
+    fields.push(("attribution".to_string(), attribution));
+    Json::Obj(fields)
 }
 
-/// Reconstruct a [`SimStats`] from [`stats_to_json`] output.
+/// Reconstruct a [`SimStats`] from [`stats_to_json`] output. Fields
+/// are looked up by name and unknown ones are ignored, so a stored
+/// record that carries fields `SimStats` no longer has still decodes.
 ///
 /// # Errors
 ///
 /// Names the first missing or ill-typed field.
 pub fn stats_from_json(json: &Json) -> Result<SimStats, String> {
-    let field = |name: &str| -> Result<u64, String> {
-        json.get(name)
+    let mut stats = SimStats::default();
+    for (name, value) in stats.counters_mut() {
+        *value = json
+            .get(name)
             .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing or non-integer field '{name}'"))
-    };
-    let mut stats = SimStats {
-        cycles: field("cycles")?,
-        warp_insts: field("warp_insts")?,
-        thread_insts: field("thread_insts")?,
-        blocks: field("blocks")? as u32,
-        resident_blocks: field("resident_blocks")? as u32,
-        l1_accesses: field("l1_accesses")?,
-        l1_hits: field("l1_hits")?,
-        l1_reservation_fails: field("l1_reservation_fails")?,
-        l2_accesses: field("l2_accesses")?,
-        l2_hits: field("l2_hits")?,
-        dram_transactions: field("dram_transactions")?,
-        global_insts: field("global_insts")?,
-        local_insts: field("local_insts")?,
-        shared_insts: field("shared_insts")?,
-        shm_bank_conflicts: field("shm_bank_conflicts")?,
-        local_bytes: field("local_bytes")?,
-        sfu_insts: field("sfu_insts")?,
-        barrier_insts: field("barrier_insts")?,
-        divergent_branches: field("divergent_branches")?,
-        ..SimStats::default()
-    };
-
-    let attr = json
+            .ok_or_else(|| format!("missing or non-integer field '{name}'"))?;
+    }
+    let rows = json
         .get("attribution")
-        .ok_or("missing field 'attribution'")?;
-    let int_vec = |name: &str| -> Result<Vec<u64>, String> {
-        attr.get(name)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("missing attribution array '{name}'"))?
-            .iter()
-            .map(|v| v.as_u64().ok_or_else(|| format!("non-integer in '{name}'")))
-            .collect()
-    };
-    let rows = attr
+        .ok_or("missing field 'attribution'")?
         .get("per_scheduler")
         .and_then(Json::as_arr)
         .ok_or("missing attribution array 'per_scheduler'")?;
-    let mut per_scheduler = Vec::with_capacity(rows.len());
     for row in rows {
         let mut counts = [0u64; NUM_CAUSES];
         for cause in StallCause::ALL {
@@ -540,12 +438,8 @@ pub fn stats_from_json(json: &Json) -> Result<SimStats, String> {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("missing per-scheduler cause '{}'", cause.name()))?;
         }
-        per_scheduler.push(counts);
+        stats.attribution.per_scheduler.push(counts);
     }
-    stats.attribution.per_scheduler = per_scheduler;
-    stats.attribution.warp_issued = int_vec("warp_issued")?;
-    stats.attribution.warp_head_stalls = int_vec("warp_head_stalls")?;
-    stats.attribution.block_issued = int_vec("block_issued")?;
     Ok(stats)
 }
 
@@ -675,7 +569,8 @@ mod tests {
     #[test]
     fn missing_fields_are_named() {
         let err = stats_from_json(&Json::Obj(vec![])).unwrap_err();
-        assert!(err.contains("cycles"), "{err}");
+        let (first, _) = SimStats::default().counters()[0];
+        assert!(err.contains(first), "{err}");
     }
 
     #[test]

@@ -732,10 +732,36 @@ mod tests {
             ..SimStats::default()
         };
         stats.attribution.per_scheduler = vec![[1, 2, 3, 4, 5, 6, 7, 8]];
-        stats.attribution.warp_issued = vec![9, 10];
-        stats.attribution.warp_head_stalls = vec![11];
-        stats.attribution.block_issued = vec![12, 13, 14];
         stats
+    }
+
+    /// A record written before `SimStats` dropped its per-warp and
+    /// per-block attribution arrays decodes to the same value under
+    /// the same format version: the codec looks fields up by name.
+    #[test]
+    fn records_with_per_warp_attribution_arrays_still_decode() {
+        const ARRAYS: &str =
+            r#","warp_issued":[9,10],"warp_head_stalls":[11],"block_issued":[12,13,14]"#;
+        let legacy = concat!(
+            r#"{"ok":{"cycles":1234,"warp_insts":567,"thread_insts":8899,"blocks":30,"#,
+            r#""resident_blocks":4,"l1_accesses":100,"l1_hits":60,"l1_reservation_fails":0,"#,
+            r#""l2_accesses":0,"l2_hits":0,"dram_transactions":0,"global_insts":0,"#,
+            r#""local_insts":0,"shared_insts":0,"shm_bank_conflicts":0,"local_bytes":0,"#,
+            r#""sfu_insts":0,"barrier_insts":0,"divergent_branches":0,"#,
+            r#""attribution":{"per_scheduler":[{"issued":1,"scoreboard":2,"mem_stall":3,"#,
+            r#""barrier":4,"reconverge":5,"empty":6,"drained":7,"shm_bank_conflict":8}],"#,
+            r#""warp_issued":[9,10],"warp_head_stalls":[11],"block_issued":[12,13,14]}}}"#,
+        );
+        assert_eq!(codec::FORMAT_VERSION, 1);
+        let decoded = codec::decode_record(&codec::frame(legacy.as_bytes())).expect("decodes");
+        assert_eq!(decoded.unwrap(), sample_stats());
+        // Today's payload is the legacy one without the arrays: same
+        // names, order and values.
+        let current = codec::encode_payload(&Ok(sample_stats())).unwrap();
+        assert_eq!(
+            String::from_utf8(current).unwrap(),
+            legacy.replace(ARRAYS, "")
+        );
     }
 
     #[test]

@@ -73,14 +73,14 @@ impl Evaluation {
     /// Fraction of the SM's register file used by resident threads —
     /// the paper's register utilization (Figures 1b and 15).
     pub fn register_utilization(&self, gpu: &GpuConfig, block_size: u32) -> f64 {
-        let used = self.reg as u64 * block_size as u64 * self.stats.resident_blocks as u64;
+        let used = self.reg as u64 * block_size as u64 * self.stats.resident_blocks;
         (used as f64 / gpu.registers_per_sm as f64).min(1.0)
     }
 
     /// Fraction of shared memory used by resident blocks (Figure 7).
     pub fn shared_utilization(&self, gpu: &GpuConfig) -> f64 {
         let per_block = self.allocation.kernel.shared_bytes() as u64;
-        let used = per_block * self.stats.resident_blocks as u64;
+        let used = per_block * self.stats.resident_blocks;
         (used as f64 / gpu.shmem_per_sm as f64).min(1.0)
     }
 }
@@ -139,7 +139,8 @@ pub fn evaluate_with_options(
         Technique::MaxTlp => {
             let alloc = allocate_degraded(engine, kernel, default_budget)?;
             let stats = engine.simulate(&alloc.kernel, gpu, launch, alloc.slots_used, None)?;
-            let tlp = stats.resident_blocks;
+            // The simulator records the u32 `crat_sim::resident_blocks`.
+            let tlp = stats.resident_blocks as u32;
             (Arc::unwrap_or_clone(alloc), tlp, stats)
         }
         Technique::OptTlp => {

@@ -18,57 +18,34 @@ fn arb_string() -> impl Strategy<Value = String> {
 }
 
 fn arb_attribution() -> impl Strategy<Value = CycleAttribution> {
-    (
-        prop::collection::vec(
-            prop::collection::vec(any::<u64>(), NUM_CAUSES..NUM_CAUSES + 1).prop_map(|v| {
-                let mut row = [0u64; NUM_CAUSES];
-                row.copy_from_slice(&v);
-                row
-            }),
-            0..4,
-        ),
-        prop::collection::vec(any::<u64>(), 0..6),
-        prop::collection::vec(any::<u64>(), 0..6),
-        prop::collection::vec(any::<u64>(), 0..6),
+    prop::collection::vec(
+        prop::collection::vec(any::<u64>(), NUM_CAUSES..NUM_CAUSES + 1).prop_map(|v| {
+            let mut row = [0u64; NUM_CAUSES];
+            row.copy_from_slice(&v);
+            row
+        }),
+        0..4,
     )
-        .prop_map(
-            |(per_scheduler, warp_issued, warp_head_stalls, block_issued)| CycleAttribution {
-                per_scheduler,
-                warp_issued,
-                warp_head_stalls,
-                block_issued,
-            },
-        )
+    .prop_map(|per_scheduler| CycleAttribution { per_scheduler })
 }
 
-/// Whole-domain [`SimStats`]: every counter an arbitrary `u64`/`u32`,
-/// plus an arbitrary attribution shape.
+/// Whole-domain [`SimStats`]: every counter of its table an arbitrary
+/// `u64`, plus an arbitrary attribution shape.
 fn arb_stats() -> impl Strategy<Value = SimStats> {
+    let n = SimStats::default().counters().len();
     (
-        prop::collection::vec(any::<u64>(), 20..21),
+        prop::collection::vec(any::<u64>(), n..n + 1),
         arb_attribution(),
     )
-        .prop_map(|(v, attribution)| SimStats {
-            cycles: v[0],
-            warp_insts: v[1],
-            thread_insts: v[2],
-            blocks: v[3] as u32,
-            resident_blocks: v[4] as u32,
-            l1_accesses: v[5],
-            l1_hits: v[6],
-            l1_reservation_fails: v[7],
-            l2_accesses: v[8],
-            l2_hits: v[9],
-            dram_transactions: v[10],
-            global_insts: v[11],
-            local_insts: v[12],
-            shared_insts: v[13],
-            shm_bank_conflicts: v[14],
-            local_bytes: v[15],
-            sfu_insts: v[16],
-            barrier_insts: v[17],
-            divergent_branches: v[18],
-            attribution,
+        .prop_map(|(values, attribution)| {
+            let mut stats = SimStats {
+                attribution,
+                ..SimStats::default()
+            };
+            for ((_, counter), v) in stats.counters_mut().into_iter().zip(values) {
+                *counter = v;
+            }
+            stats
         })
 }
 

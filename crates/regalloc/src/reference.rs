@@ -270,8 +270,7 @@ fn cheapest_spill_candidate(
 /// Allocate with the preserved from-scratch Chaitin–Briggs pipeline:
 /// every iteration of every call rebuilds CFG, liveness, live ranges,
 /// and the (hash-set) interference graph. Semantically identical to
-/// [`crate::allocate`]; kept as the differential-testing oracle and
-/// the cold baseline of the `alloc_sweep` bench.
+/// [`crate::allocate`]; kept as the differential-testing oracle.
 ///
 /// # Errors
 ///

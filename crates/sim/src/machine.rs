@@ -62,9 +62,6 @@ use crat_ptx::eval as interp;
 /// for cache timing (functional local data lives in per-block arrays).
 const LOCAL_TIMING_BASE: u64 = 1 << 40;
 
-/// Sentinel warp slot for scheduler decisions that concern no warp.
-const NO_WARP: u32 = u32::MAX;
-
 /// "No event pending": the write-back watermark's unarmed value, so
 /// `min` folds stay branch-free.
 const NEVER: u64 = u64::MAX;
@@ -183,7 +180,7 @@ fn run_machine<'a>(
     let mut m = Machine::new(dk, cfg, launch, blocks_this_sm);
     m.deadline = deadline;
     m.all_values = all_values;
-    m.stats.resident_blocks = resident;
+    m.stats.resident_blocks = u64::from(resident);
     for _ in 0..resident {
         m.launch_block()?;
     }
@@ -366,10 +363,10 @@ struct Machine<'a> {
     lrr_next: Vec<usize>,
     /// Retired block contexts awaiting reuse.
     block_pool: Vec<BlockCtx>,
-    /// Per-scheduler `(cause, head warp)` for the current cycle-loop
-    /// iteration; committed into the attribution once the window length
-    /// is known. Reused every iteration — never reallocated.
-    slot_causes: Vec<(StallCause, u32)>,
+    /// Per-scheduler cause for the current cycle-loop iteration;
+    /// committed into the attribution once the window length is known.
+    /// Reused every iteration — never reallocated.
+    slot_causes: Vec<StallCause>,
     /// Per-scheduler memoized stall decision: while `Some`, nothing
     /// that could change this scheduler's outcome has happened since
     /// the scan that produced it, so `schedule_one` returns it without
@@ -377,17 +374,17 @@ struct Machine<'a> {
     /// stalled scheduler: a writeback draining one of its warps'
     /// pending bits, a barrier release, a block launch, or its own
     /// issue/mem-stall.
-    sched_cached: Vec<Option<(StallCause, u32)>>,
-    /// Per-scheduler memoized stall *classification* (cause + head
-    /// warp). Longer-lived than [`Machine::sched_cached`]: write-back
-    /// drains invalidate the issue decision (the drained warp may now
-    /// issue) but not the classification, which depends only on the
-    /// live set, priority keys, and divergence depths — all unchanged
-    /// by a drain followed by failed issue attempts. Invalidated by
-    /// this scheduler's own issue/mem-stall (priority keys move with
-    /// `gto_current`, issues advance pc/stacks/done), block launches,
-    /// and barrier releases.
-    stall_cached: Vec<Option<(StallCause, u32)>>,
+    sched_cached: Vec<Option<StallCause>>,
+    /// Per-scheduler memoized stall *classification*. Longer-lived
+    /// than [`Machine::sched_cached`]: write-back drains invalidate the
+    /// issue decision (the drained warp may now issue) but not the
+    /// classification, which depends only on the live set, the
+    /// barrier set, divergence depths and whether blocks remain to
+    /// launch — all unchanged by a drain followed by failed issue
+    /// attempts. Invalidated by this scheduler's own issue/mem-stall
+    /// (issues advance pc/stacks/done), block launches, and barrier
+    /// releases.
+    stall_cached: Vec<Option<StallCause>>,
     /// GTO's per-scheduler heap of warp slots that may be issuable
     /// (live, not at a barrier, not [`Warp::sb_blocked`]); empty under
     /// LRR. The GTO issue scan walks only this heap instead of every
@@ -406,8 +403,6 @@ struct Machine<'a> {
     /// window always ends at `issue cycle + extra ≥ 1`). Only written
     /// when `bank` is `Some`.
     shm_busy_until: Vec<u64>,
-    /// Warp slot charged with each scheduler's busy window.
-    shm_busy_head: Vec<u32>,
     /// Cooperative cancellation: wall-clock deadline checked every
     /// [`DEADLINE_CHECK_INTERVAL`] loop iterations (and on the first).
     deadline: Option<Instant>,
@@ -475,7 +470,7 @@ impl<'a> Machine<'a> {
             gto_current: vec![None; cfg.num_schedulers as usize],
             lrr_next: vec![0; cfg.num_schedulers as usize],
             block_pool: Vec::new(),
-            slot_causes: vec![(StallCause::Empty, NO_WARP); cfg.num_schedulers as usize],
+            slot_causes: vec![StallCause::Empty; cfg.num_schedulers as usize],
             sched_cached: vec![None; cfg.num_schedulers as usize],
             stall_cached: vec![None; cfg.num_schedulers as usize],
             ready: match cfg.scheduler {
@@ -484,7 +479,6 @@ impl<'a> Machine<'a> {
             },
             bank: cfg.shm_banks,
             shm_busy_until: vec![0; cfg.num_schedulers as usize],
-            shm_busy_head: vec![NO_WARP; cfg.num_schedulers as usize],
             deadline: None,
             deadline_countdown: 0,
             all_values: false,
@@ -600,9 +594,6 @@ impl<'a> Machine<'a> {
             let w = self.warps[wslot].as_mut().expect("warp just launched");
             enqueue_ready(&mut self.ready, wslot, w);
         }
-        self.stats
-            .attribution
-            .ensure_slots(self.warps.len(), self.blocks.len());
         Ok(())
     }
 
@@ -625,9 +616,9 @@ impl<'a> Machine<'a> {
             }
             let mut issued_any = false;
             for s in 0..self.cfg.num_schedulers as usize {
-                let decision = self.schedule_one(s)?;
-                self.slot_causes[s] = decision;
-                if decision.0 == StallCause::Issued {
+                let cause = self.schedule_one(s)?;
+                self.slot_causes[s] = cause;
+                if cause == StallCause::Issued {
                     issued_any = true;
                 }
             }
@@ -665,13 +656,11 @@ impl<'a> Machine<'a> {
         Ok(())
     }
 
-    /// Fold each scheduler's `(cause, head warp)` for the current
-    /// iteration into the attribution, weighted by the `n` cycles the
-    /// iteration covers.
+    /// Fold each scheduler's cause for the current iteration into the
+    /// attribution, weighted by the `n` cycles the iteration covers.
     fn commit_slots(&mut self, n: u64) {
-        for s in 0..self.slot_causes.len() {
-            let (cause, head) = self.slot_causes[s];
-            self.stats.attribution.charge(s, cause, head, n);
+        for (s, &cause) in self.slot_causes.iter().enumerate() {
+            self.stats.attribution.charge(s, cause, n);
         }
     }
 
@@ -768,9 +757,8 @@ impl<'a> Machine<'a> {
 
     /// Let scheduler `s` issue at most one instruction. Returns the
     /// exclusive [`StallCause`] describing what the scheduler did this
-    /// cycle and the head warp slot it concerns ([`NO_WARP`] when no
-    /// single warp is responsible).
-    fn schedule_one(&mut self, s: usize) -> Result<(StallCause, u32), SimError> {
+    /// cycle.
+    fn schedule_one(&mut self, s: usize) -> Result<StallCause, SimError> {
         // Bank-conflict serialization: while this scheduler's
         // shared-memory unit is replaying a conflicted access, it
         // cannot issue. Checked before the memoized stall so the busy
@@ -778,7 +766,7 @@ impl<'a> Machine<'a> {
         if self.bank.is_some() {
             let busy_until = self.shm_busy_until[s];
             if busy_until != 0 && self.now <= busy_until {
-                return Ok((StallCause::ShmBankConflict, self.shm_busy_head[s]));
+                return Ok(StallCause::ShmBankConflict);
             }
         }
         // Memoized stall: if nothing that could unblock this scheduler
@@ -790,10 +778,11 @@ impl<'a> Machine<'a> {
         if let Some(cached) = self.sched_cached[s] {
             return Ok(cached);
         }
-        // Greedy fast path (GTO only): under GTO keys the remembered
-        // current warp compares strictly below every other candidate
-        // whenever it is schedulable, so try it before the heap scan —
-        // while that warp keeps issuing, no cycle pays a scan.
+        // Greedy fast path (GTO only): in GTO's greedy-then-oldest
+        // order the remembered current warp comes before every other
+        // candidate whenever it is schedulable, so try it before the
+        // heap scan — while that warp keeps issuing, no cycle pays a
+        // scan.
         // Issued/MemStall outcomes are bit-identical to the full path
         // (same warp, same bookkeeping); a scoreboard-blocked warp is
         // marked [`Warp::sb_blocked`] as the scan would mark it (its
@@ -803,21 +792,15 @@ impl<'a> Machine<'a> {
             if let Some(i) = self.gto_current[s] {
                 if let Some(w) = self.warps.get(i).and_then(Option::as_ref) {
                     if !w.done && !w.at_barrier && !w.sb_blocked {
-                        // Read the block slot before issuing: an Exit
-                        // terminator may retire the block and relaunch
-                        // into this very slot.
-                        let bslot = w.block_slot;
                         match self.try_issue(i)? {
                             IssueOutcome::Issued => {
                                 self.lrr_next[s] = i + 1;
                                 self.stall_cached[s] = None;
-                                self.stats.attribution.warp_issued[i] += 1;
-                                self.stats.attribution.block_issued[bslot] += 1;
-                                return Ok((StallCause::Issued, i as u32));
+                                return Ok(StallCause::Issued);
                             }
                             IssueOutcome::MemStall => {
                                 self.stall_cached[s] = None;
-                                return Ok((StallCause::MemStall, i as u32));
+                                return Ok(StallCause::MemStall);
                             }
                             IssueOutcome::Blocked => {
                                 let w = self.warps[i].as_mut().expect("warp exists");
@@ -840,7 +823,7 @@ impl<'a> Machine<'a> {
     /// the order the sorted scan would produce, because whenever this
     /// runs the remembered current warp is not an issuable candidate
     /// (the greedy fast path already handled it).
-    fn schedule_scan_gto(&mut self, s: usize) -> Result<(StallCause, u32), SimError> {
+    fn schedule_scan_gto(&mut self, s: usize) -> Result<StallCause, SimError> {
         loop {
             let h = &mut self.ready[s];
             let Some(&Reverse((age, i))) = h.peek() else {
@@ -865,9 +848,6 @@ impl<'a> Machine<'a> {
                     continue;
                 }
             }
-            // Read the block slot before issuing: an Exit terminator
-            // may retire the block and relaunch into this very slot.
-            let bslot = self.warps[i].as_ref().expect("candidate exists").block_slot;
             match self.try_issue(i)? {
                 // The candidate stays pooled: an issuing or
                 // mem-stalled warp remains issuable.
@@ -875,9 +855,7 @@ impl<'a> Machine<'a> {
                     self.gto_current[s] = Some(i);
                     self.lrr_next[s] = i + 1;
                     self.stall_cached[s] = None;
-                    self.stats.attribution.warp_issued[i] += 1;
-                    self.stats.attribution.block_issued[bslot] += 1;
-                    return Ok((StallCause::Issued, i as u32));
+                    return Ok(StallCause::Issued);
                 }
                 IssueOutcome::Blocked => {
                     let w = self.warps[i].as_mut().expect("candidate exists");
@@ -892,7 +870,7 @@ impl<'a> Machine<'a> {
                 IssueOutcome::MemStall => {
                     self.gto_current[s] = Some(i);
                     self.stall_cached[s] = None;
-                    return Ok((StallCause::MemStall, i as u32));
+                    return Ok(StallCause::MemStall);
                 }
             }
         }
@@ -906,7 +884,7 @@ impl<'a> Machine<'a> {
     /// slot; testing issuability as the walk reaches a slot equals
     /// filtering up front because a `Blocked` attempt changes no other
     /// warp; and the first `Issued` or `MemStall` ends the scan.
-    fn schedule_scan_lrr(&mut self, s: usize) -> Result<(StallCause, u32), SimError> {
+    fn schedule_scan_lrr(&mut self, s: usize) -> Result<StallCause, SimError> {
         let nsched = self.cfg.num_schedulers as usize;
         let nwarps = self.warps.len();
         let start = self.lrr_next[s] % nwarps.max(1);
@@ -923,16 +901,11 @@ impl<'a> Machine<'a> {
             if w.done || w.at_barrier || w.sb_blocked {
                 continue;
             }
-            // Read the block slot before issuing: an Exit terminator
-            // may retire the block and relaunch into this very slot.
-            let bslot = w.block_slot;
             match self.try_issue(i)? {
                 IssueOutcome::Issued => {
                     self.lrr_next[s] = i + 1;
                     self.stall_cached[s] = None;
-                    self.stats.attribution.warp_issued[i] += 1;
-                    self.stats.attribution.block_issued[bslot] += 1;
-                    return Ok((StallCause::Issued, i as u32));
+                    return Ok(StallCause::Issued);
                 }
                 IssueOutcome::Blocked => {
                     self.warps[i].as_mut().expect("candidate exists").sb_blocked = true;
@@ -941,7 +914,7 @@ impl<'a> Machine<'a> {
                 // scheduler's load/store unit for the cycle.
                 IssueOutcome::MemStall => {
                     self.stall_cached[s] = None;
-                    return Ok((StallCause::MemStall, i as u32));
+                    return Ok(StallCause::MemStall);
                 }
             }
         }
@@ -950,16 +923,15 @@ impl<'a> Machine<'a> {
 
     /// Nothing issued. Classify the stall with a full pass over the
     /// scheduler's slots — blocked and parked warps participate in
-    /// the head/cause bookkeeping even though they were never
-    /// attempted — and memoize it until an unblocking event. No
-    /// issue happened on this path, so the live set and priority
-    /// keys still match their pre-attempt values; only stack depths
-    /// changed (reconvergence pops), and those are read after the
-    /// attempts exactly as the old full-scan ordering did. The
-    /// classification inputs (live set, keys, stack depths) are
-    /// untouched by drains and failed attempts, so a still-valid
+    /// the classification even though they were never attempted — and
+    /// memoize it until an unblocking event. No issue happened on this
+    /// path, so the live set still matches its pre-attempt value; only
+    /// stack depths changed (reconvergence pops), and those are read
+    /// after the attempts exactly as the old full-scan ordering did.
+    /// The classification inputs (live set, barrier set, stack depths)
+    /// are untouched by drains and failed attempts, so a still-valid
     /// classification from an earlier stall is reused as-is.
-    fn classify_stall(&mut self, s: usize) -> (StallCause, u32) {
+    fn classify_stall(&mut self, s: usize) -> StallCause {
         let decision = match self.stall_cached[s] {
             Some(d) => d,
             None => {
@@ -972,34 +944,17 @@ impl<'a> Machine<'a> {
         decision
     }
 
-    /// Scheduler priority key for warp slot `i` (lower issues first).
-    #[inline]
-    fn sched_key(&self, s: usize, i: usize, age: u64) -> (u64, u64) {
-        match self.cfg.scheduler {
-            // Greedy: current warp first; then oldest-first.
-            SchedulerKind::Gto => (u64::from(Some(i) != self.gto_current[s]), age),
-            SchedulerKind::Lrr => {
-                let nwarps = self.warps.len();
-                let start = self.lrr_next[s] % nwarps.max(1);
-                (((i + nwarps - start) % nwarps) as u64, 0)
-            }
-        }
-    }
-
     /// Classify a zero-issue cycle for scheduler `s`: one pass over
     /// all its warp slots — including the blocked and parked warps the
-    /// issue scans skip — yields the exclusive stall cause and the
-    /// head warp charged with it. Only runs on stall outcomes, whose
-    /// result is then memoized, so the full scan is off the issue
-    /// path.
-    fn stall_decision(&mut self, s: usize) -> (StallCause, u32) {
+    /// issue scans skip — yields the exclusive stall cause. Only runs
+    /// on stall outcomes, whose result is then memoized, so the full
+    /// scan is off the issue path.
+    fn stall_decision(&self, s: usize) -> StallCause {
         let nsched = self.cfg.num_schedulers as usize;
         let nwarps = self.warps.len();
         let mut saw_barrier = false;
         let mut any_live = false;
         let mut all_diverged = true;
-        let mut min_key = (u64::MAX, u64::MAX);
-        let mut min_slot = 0usize;
         for i in (s..nwarps).step_by(nsched.max(1)) {
             let Some(w) = self.warps[i].as_ref() else {
                 continue;
@@ -1011,13 +966,6 @@ impl<'a> Machine<'a> {
                 saw_barrier = true;
                 continue;
             }
-            let key = self.sched_key(s, i, w.age);
-            // Strict `<` so the lowest slot wins key ties, matching
-            // the stable sort's ascending-slot push order.
-            if !any_live || key < min_key {
-                min_key = key;
-                min_slot = i;
-            }
             any_live = true;
             // When every live warp is mid-divergence, the exposed
             // latency is reconvergence serialization rather than plain
@@ -1025,21 +973,18 @@ impl<'a> Machine<'a> {
             all_diverged &= w.stack.len() > 1;
         }
         if !any_live {
-            let cause = if saw_barrier {
+            if saw_barrier {
                 StallCause::Barrier
             } else if self.next_block_index >= self.blocks_total {
                 StallCause::Drained
             } else {
                 StallCause::Empty
-            };
-            return (cause, NO_WARP);
-        }
-        let cause = if all_diverged {
+            }
+        } else if all_diverged {
             StallCause::Reconverge
         } else {
             StallCause::Scoreboard
-        };
-        (cause, min_slot as u32)
+        }
     }
 
     /// Attempt to issue the next instruction of warp slot `i`.
@@ -1487,7 +1432,6 @@ impl<'a> Machine<'a> {
                         self.stats.shm_bank_conflicts += u64::from(d - 1);
                         let s = i % self.cfg.num_schedulers as usize;
                         self.shm_busy_until[s] = self.now + extra;
-                        self.shm_busy_head[s] = i as u32;
                     }
                 }
                 self.now + self.cfg.lat.shared as u64 + extra
@@ -1610,7 +1554,6 @@ impl<'a> Machine<'a> {
                         self.stats.shm_bank_conflicts += u64::from(d - 1);
                         let s = i % self.cfg.num_schedulers as usize;
                         self.shm_busy_until[s] = self.now + extra;
-                        self.shm_busy_head[s] = i as u32;
                     }
                 }
             }
@@ -2292,20 +2235,16 @@ mod turnover_tests {
     }
 
     /// The attribution invariant (per-scheduler cause counts sum to
-    /// cycles) holds, and issue aggregation reconciles with the global
+    /// cycles) holds, and issued slots reconcile with the global
     /// instruction counter.
     #[test]
-    fn attribution_invariant_and_issue_aggregation() {
+    fn attribution_invariant_and_issued_slots() {
         let k = divergent_kernel();
         let launch = LaunchConfig::new(12, 64)
             .with_param("input", 0x100_0000)
             .with_param("out", 0x200_0000);
         let stats = simulate(&k, &GpuConfig::fermi(), &launch, 20, None).unwrap();
         stats.attribution.check(stats.cycles).unwrap();
-        let issued: u64 = stats.attribution.warp_issued.iter().sum();
-        assert_eq!(issued, stats.warp_insts);
-        let block_issued: u64 = stats.attribution.block_issued.iter().sum();
-        assert_eq!(block_issued, stats.warp_insts);
         // The final cycle-loop iteration issues the last Exit but does
         // not advance time, so issued-slot cycles may undercount the
         // instruction total by at most one iteration (one slot per

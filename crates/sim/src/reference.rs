@@ -105,7 +105,7 @@ pub fn simulate_capture(
     resident = resident.min(blocks_this_sm);
 
     let mut m = Machine::new(kernel, cfg, launch, blocks_this_sm)?;
-    m.stats.resident_blocks = resident;
+    m.stats.resident_blocks = u64::from(resident);
     for _ in 0..resident {
         m.launch_block()?;
     }
@@ -202,22 +202,17 @@ struct Machine<'a> {
     generation_counter: u64,
     gto_current: Vec<Option<usize>>,
     lrr_next: Vec<usize>,
-    /// Per-scheduler `(cause, head warp)` for the current cycle-loop
-    /// iteration (mirrors the decoded machine's attribution exactly).
-    slot_causes: Vec<(StallCause, u32)>,
+    /// Per-scheduler cause for the current cycle-loop iteration
+    /// (mirrors the decoded machine's attribution exactly).
+    slot_causes: Vec<StallCause>,
     /// Shared-memory bank model (mirrors the decoded machine; `None`
     /// keeps shared memory conflict-free).
     bank: Option<crate::config::ShmBankConfig>,
     /// Per-scheduler last cycle blocked by bank-conflict replays
     /// (inclusive; 0 = never busy).
     shm_busy_until: Vec<u64>,
-    /// Warp slot charged with each scheduler's busy window.
-    shm_busy_head: Vec<u32>,
     stats: SimStats,
 }
-
-/// Sentinel warp slot for scheduler decisions that concern no warp.
-const NO_WARP: u32 = u32::MAX;
 
 impl<'a> Machine<'a> {
     fn new(
@@ -251,10 +246,9 @@ impl<'a> Machine<'a> {
             generation_counter: 0,
             gto_current: vec![None; cfg.num_schedulers as usize],
             lrr_next: vec![0; cfg.num_schedulers as usize],
-            slot_causes: vec![(StallCause::Empty, NO_WARP); cfg.num_schedulers as usize],
+            slot_causes: vec![StallCause::Empty; cfg.num_schedulers as usize],
             bank: cfg.shm_banks,
             shm_busy_until: vec![0; cfg.num_schedulers as usize],
-            shm_busy_head: vec![NO_WARP; cfg.num_schedulers as usize],
             stats: {
                 let mut stats = SimStats::default();
                 stats.attribution.init_schedulers(cfg.num_schedulers);
@@ -320,9 +314,6 @@ impl<'a> Machine<'a> {
             }
             self.warps[wslot] = Some(warp);
         }
-        self.stats
-            .attribution
-            .ensure_slots(self.warps.len(), self.blocks.len());
         Ok(())
     }
 
@@ -331,9 +322,9 @@ impl<'a> Machine<'a> {
             self.drain_writebacks();
             let mut issued_any = false;
             for s in 0..self.cfg.num_schedulers as usize {
-                let decision = self.schedule_one(s)?;
-                self.slot_causes[s] = decision;
-                if decision.0 == StallCause::Issued {
+                let cause = self.schedule_one(s)?;
+                self.slot_causes[s] = cause;
+                if cause == StallCause::Issued {
                     issued_any = true;
                 }
             }
@@ -384,16 +375,12 @@ impl<'a> Machine<'a> {
         Ok(())
     }
 
-    /// Fold each scheduler's `(cause, head warp)` for the current
-    /// iteration into the attribution, weighted by the `n` cycles the
-    /// iteration covers.
+    /// Fold each scheduler's cause for the current iteration into the
+    /// attribution, weighted by the `n` cycles the iteration covers.
     fn commit_slots(&mut self, n: u64) {
         for s in 0..self.slot_causes.len() {
-            let (cause, head) = self.slot_causes[s];
+            let cause = self.slot_causes[s];
             self.stats.attribution.per_scheduler[s][cause as usize] += n;
-            if head != NO_WARP && cause != StallCause::Issued {
-                self.stats.attribution.warp_head_stalls[head as usize] += n;
-            }
         }
     }
 
@@ -414,16 +401,15 @@ impl<'a> Machine<'a> {
 
     /// Let scheduler `s` issue at most one instruction. Returns the
     /// exclusive [`StallCause`] describing what the scheduler did this
-    /// cycle and the head warp slot it concerns ([`NO_WARP`] when no
-    /// single warp is responsible).
-    fn schedule_one(&mut self, s: usize) -> Result<(StallCause, u32), SimError> {
+    /// cycle.
+    fn schedule_one(&mut self, s: usize) -> Result<StallCause, SimError> {
         // Bank-conflict serialization: while this scheduler's
         // shared-memory unit is replaying a conflicted access, it
         // cannot issue (mirrors the decoded machine exactly).
         if self.bank.is_some() {
             let busy_until = self.shm_busy_until[s];
             if busy_until != 0 && self.now <= busy_until {
-                return Ok((StallCause::ShmBankConflict, self.shm_busy_head[s]));
+                return Ok(StallCause::ShmBankConflict);
             }
         }
         // Candidate warp slots owned by this scheduler.
@@ -450,7 +436,7 @@ impl<'a> Machine<'a> {
             } else {
                 StallCause::Empty
             };
-            return Ok((cause, NO_WARP));
+            return Ok(cause);
         }
 
         match self.cfg.scheduler {
@@ -468,30 +454,24 @@ impl<'a> Machine<'a> {
         }
 
         for &i in &cands {
-            // Read the block slot before issuing: an Exit terminator
-            // may retire the block and relaunch into this very slot.
-            let bslot = self.warps[i].as_ref().expect("candidate exists").block_slot;
             match self.try_issue(i)? {
                 IssueOutcome::Issued => {
                     self.gto_current[s] = Some(i);
                     self.lrr_next[s] = i + 1;
-                    self.stats.attribution.warp_issued[i] += 1;
-                    self.stats.attribution.block_issued[bslot] += 1;
-                    return Ok((StallCause::Issued, i as u32));
+                    return Ok(StallCause::Issued);
                 }
                 IssueOutcome::Blocked => continue,
                 // A memory-path reservation failure blocks this
                 // scheduler's load/store unit for the cycle.
                 IssueOutcome::MemStall => {
                     self.gto_current[s] = Some(i);
-                    return Ok((StallCause::MemStall, i as u32));
+                    return Ok(StallCause::MemStall);
                 }
             }
         }
         // Every candidate is scoreboard-blocked. When all of them are
         // also mid-divergence, the exposed latency is a reconvergence
         // serialization cost rather than plain scoreboard pressure.
-        let head = cands[0];
         let all_diverged = cands.iter().all(|&i| {
             self.warps[i]
                 .as_ref()
@@ -505,7 +485,7 @@ impl<'a> Machine<'a> {
         } else {
             StallCause::Scoreboard
         };
-        Ok((cause, head as u32))
+        Ok(cause)
     }
 
     /// Attempt to issue the next instruction of warp slot `i`.
@@ -974,7 +954,6 @@ impl<'a> Machine<'a> {
                         self.stats.shm_bank_conflicts += u64::from(d - 1);
                         let s = i % self.cfg.num_schedulers as usize;
                         self.shm_busy_until[s] = self.now + extra;
-                        self.shm_busy_head[s] = i as u32;
                     }
                 }
                 self.now + self.cfg.lat.shared as u64 + extra
@@ -1114,7 +1093,6 @@ impl<'a> Machine<'a> {
                         self.stats.shm_bank_conflicts += u64::from(d - 1);
                         let s = i % self.cfg.num_schedulers as usize;
                         self.shm_busy_until[s] = self.now + extra;
-                        self.shm_busy_head[s] = i as u32;
                     }
                 }
             }

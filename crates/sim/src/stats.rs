@@ -66,16 +66,10 @@ impl StallCause {
             StallCause::ShmBankConflict => "shm_bank_conflict",
         }
     }
-
-    /// The cause with counter index `i`, if in range.
-    pub fn from_index(i: usize) -> Option<StallCause> {
-        StallCause::ALL.get(i).copied()
-    }
 }
 
 /// Scheduler-slot cycle attribution: for each scheduler, how many
-/// cycles went to each [`StallCause`], plus per-warp-slot and
-/// per-block-context issue/stall aggregation.
+/// cycles went to each [`StallCause`].
 ///
 /// Cycles that the cycle loop fast-forwards over (whole-SM stall
 /// windows, skipped to the next writeback event) are attributed to the
@@ -86,15 +80,6 @@ impl StallCause {
 pub struct CycleAttribution {
     /// `[scheduler][cause]` scheduler-slot cycle counts.
     pub per_scheduler: Vec<[u64; NUM_CAUSES]>,
-    /// Warp instructions issued per warp slot (sums to
-    /// [`SimStats::warp_insts`]).
-    pub warp_issued: Vec<u64>,
-    /// Scheduler-slot cycles each warp slot spent as the
-    /// highest-priority candidate without issuing (who is starving).
-    pub warp_head_stalls: Vec<u64>,
-    /// Warp instructions issued per resident block context (block
-    /// slot; successive blocks reusing a slot share its counter).
-    pub block_issued: Vec<u64>,
 }
 
 impl CycleAttribution {
@@ -103,29 +88,13 @@ impl CycleAttribution {
         self.per_scheduler = vec![[0; NUM_CAUSES]; num_schedulers as usize];
     }
 
-    /// Fold `n` scheduler-slot cycles of `cause` (head warp slot
-    /// `head`, `u32::MAX` for none) into scheduler `s` — the bulk
-    /// commit behind both single cycles and idle fast-forward windows,
-    /// so a skipped window costs O(1) bookkeeping per scheduler.
+    /// Fold `n` scheduler-slot cycles of `cause` into scheduler `s` —
+    /// the bulk commit behind both single cycles and idle fast-forward
+    /// windows, so a skipped window costs O(1) bookkeeping per
+    /// scheduler.
     #[inline]
-    pub fn charge(&mut self, s: usize, cause: StallCause, head: u32, n: u64) {
+    pub fn charge(&mut self, s: usize, cause: StallCause, n: u64) {
         self.per_scheduler[s][cause as usize] += n;
-        if head != u32::MAX && cause != StallCause::Issued {
-            self.warp_head_stalls[head as usize] += n;
-        }
-    }
-
-    /// Grow the per-warp and per-block aggregation to cover `nwarps`
-    /// warp slots and `nblocks` block slots (called at block launch,
-    /// never from the cycle loop).
-    pub fn ensure_slots(&mut self, nwarps: usize, nblocks: usize) {
-        if self.warp_issued.len() < nwarps {
-            self.warp_issued.resize(nwarps, 0);
-            self.warp_head_stalls.resize(nwarps, 0);
-        }
-        if self.block_issued.len() < nblocks {
-            self.block_issued.resize(nblocks, 0);
-        }
     }
 
     /// Total scheduler-slot cycles attributed to `cause`, summed over
@@ -173,57 +142,96 @@ impl CycleAttribution {
     }
 }
 
-/// Counters collected over one simulated kernel launch (one SM's share
-/// of the grid).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// Total simulated cycles until the last block finished.
-    pub cycles: u64,
-    /// Warp instructions issued (terminator branches included).
-    pub warp_insts: u64,
-    /// Thread instructions (warp instructions × active lanes).
-    pub thread_insts: u64,
-    /// Thread blocks completed.
-    pub blocks: u32,
-    /// Resident blocks the SM actually ran with (the achieved TLP).
-    pub resident_blocks: u32,
+/// Declare a counter struct from one table. Each row, a doc comment
+/// and a name, becomes a pub `u64` field and an entry of `counters()`
+/// and `counters_mut()`, in table order. Exporters, decoders and diffs
+/// iterate those lists, so a new counter is one row here plus the site
+/// that bumps it. Typed fields after the braces stay out of the lists.
+/// The call site writes the struct's attributes, derives included.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$doc:meta])* $field:ident,)*
+        }
+        $($(#[$xdoc:meta])* $xfield:ident: $xty:ty,)*
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$doc])* pub $field: u64,)*
+            $($(#[$xdoc])* pub $xfield: $xty,)*
+        }
 
-    /// L1 data-cache accesses (one per memory transaction).
-    pub l1_accesses: u64,
-    /// L1 hits.
-    pub l1_hits: u64,
-    /// Issue attempts aborted because the L1's MSHRs or miss path were
-    /// saturated — the paper's "pipeline stall caused by the congestion
-    /// of cache requests" (Figure 5b).
-    pub l1_reservation_fails: u64,
-    /// L2 accesses.
-    pub l2_accesses: u64,
-    /// L2 hits.
-    pub l2_hits: u64,
-    /// DRAM transactions.
-    pub dram_transactions: u64,
+        impl $name {
+            /// Every counter as `(name, value)`, in declaration order.
+            pub fn counters(&self) -> [(&'static str, u64); [$(stringify!($field)),*].len()] {
+                [$((stringify!($field), self.$field)),*]
+            }
 
-    /// Warp-level global-memory instructions executed.
-    pub global_insts: u64,
-    /// Warp-level local-memory instructions executed (spill traffic).
-    pub local_insts: u64,
-    /// Warp-level shared-memory instructions executed.
-    pub shared_insts: u64,
-    /// Extra shared-memory passes forced by bank conflicts: the sum
-    /// over conflicted accesses of `degree - 1` (0 when the bank model
-    /// is disabled or every access was conflict-free).
-    pub shm_bank_conflicts: u64,
-    /// Bytes moved to/from local memory (thread granularity).
-    pub local_bytes: u64,
-    /// SFU instructions executed (warp level).
-    pub sfu_insts: u64,
-    /// Barrier instructions executed (warp level).
-    pub barrier_insts: u64,
-    /// Conditional branches that diverged (pushed SIMT frames).
-    pub divergent_branches: u64,
+            /// Every counter as `(name, &mut value)`, in declaration
+            /// order.
+            pub fn counters_mut(
+                &mut self,
+            ) -> [(&'static str, &mut u64); [$(stringify!($field)),*].len()] {
+                [$((stringify!($field), &mut self.$field)),*]
+            }
+        }
+    };
+}
 
+counters! {
+    /// Counters collected over one simulated kernel launch (one SM's
+    /// share of the grid).
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct SimStats {
+        /// Total simulated cycles until the last block finished.
+        cycles,
+        /// Warp instructions issued (terminator branches included).
+        warp_insts,
+        /// Thread instructions (warp instructions × active lanes).
+        thread_insts,
+        /// Thread blocks completed.
+        blocks,
+        /// Resident blocks the SM actually ran with (the achieved TLP).
+        resident_blocks,
+
+        /// L1 data-cache accesses (one per memory transaction).
+        l1_accesses,
+        /// L1 hits.
+        l1_hits,
+        /// Issue attempts aborted because the L1's MSHRs or miss path
+        /// were saturated — the paper's "pipeline stall caused by the
+        /// congestion of cache requests" (Figure 5b).
+        l1_reservation_fails,
+        /// L2 accesses.
+        l2_accesses,
+        /// L2 hits.
+        l2_hits,
+        /// DRAM transactions.
+        dram_transactions,
+
+        /// Warp-level global-memory instructions executed.
+        global_insts,
+        /// Warp-level local-memory instructions executed (spill traffic).
+        local_insts,
+        /// Warp-level shared-memory instructions executed.
+        shared_insts,
+        /// Extra shared-memory passes forced by bank conflicts: the sum
+        /// over conflicted accesses of `degree - 1` (0 when the bank
+        /// model is disabled or every access was conflict-free).
+        shm_bank_conflicts,
+        /// Bytes moved to/from local memory (thread granularity).
+        local_bytes,
+        /// SFU instructions executed (warp level).
+        sfu_insts,
+        /// Barrier instructions executed (warp level).
+        barrier_insts,
+        /// Conditional branches that diverged (pushed SIMT frames).
+        divergent_branches,
+    }
     /// Where every scheduler-slot cycle went, by exclusive cause.
-    pub attribution: CycleAttribution,
+    attribution: CycleAttribution,
 }
 
 impl SimStats {
@@ -268,39 +276,13 @@ impl SimStats {
     /// equal). Each line is `field: self_value != other_value`; used by
     /// the golden-snapshot harness to explain drift.
     pub fn diff(&self, other: &SimStats) -> Vec<String> {
-        let mut out = Vec::new();
-        macro_rules! cmp {
-            ($field:ident) => {
-                if self.$field != other.$field {
-                    out.push(format!(
-                        "{}: {} != {}",
-                        stringify!($field),
-                        self.$field,
-                        other.$field
-                    ));
-                }
-            };
-        }
-        cmp!(cycles);
-        cmp!(warp_insts);
-        cmp!(thread_insts);
-        cmp!(blocks);
-        cmp!(resident_blocks);
-        cmp!(l1_accesses);
-        cmp!(l1_hits);
-        cmp!(l1_reservation_fails);
-        cmp!(l2_accesses);
-        cmp!(l2_hits);
-        cmp!(dram_transactions);
-        cmp!(global_insts);
-        cmp!(local_insts);
-        cmp!(shared_insts);
-        cmp!(shm_bank_conflicts);
-        cmp!(local_bytes);
-        cmp!(sfu_insts);
-        cmp!(barrier_insts);
-        cmp!(divergent_branches);
-
+        let mut out: Vec<String> = self
+            .counters()
+            .into_iter()
+            .zip(other.counters())
+            .filter(|((_, va), (_, vb))| va != vb)
+            .map(|((name, va), (_, vb))| format!("{name}: {va} != {vb}"))
+            .collect();
         let (a, b) = (&self.attribution, &other.attribution);
         if a.per_scheduler.len() != b.per_scheduler.len() {
             out.push(format!(
@@ -318,15 +300,6 @@ impl SimStats {
                         cause.name()
                     ));
                 }
-            }
-        }
-        for (name, va, vb) in [
-            ("warp_issued", &a.warp_issued, &b.warp_issued),
-            ("warp_head_stalls", &a.warp_head_stalls, &b.warp_head_stalls),
-            ("block_issued", &a.block_issued, &b.block_issued),
-        ] {
-            if va != vb {
-                out.push(format!("attribution.{name}: {va:?} != {vb:?}"));
             }
         }
         out
@@ -376,12 +349,10 @@ mod tests {
     }
 
     #[test]
-    fn cause_names_and_indices_round_trip() {
+    fn causes_are_in_counter_order_with_distinct_names() {
         for (i, cause) in StallCause::ALL.iter().enumerate() {
             assert_eq!(*cause as usize, i);
-            assert_eq!(StallCause::from_index(i), Some(*cause));
         }
-        assert_eq!(StallCause::from_index(NUM_CAUSES), None);
         // Names are distinct (they key JSON/CSV columns).
         let names: std::collections::HashSet<_> =
             StallCause::ALL.iter().map(|c| c.name()).collect();
@@ -401,20 +372,6 @@ mod tests {
         assert!(a.check(10).is_ok());
         let err = a.check(11).unwrap_err();
         assert!(err.contains("scheduler 0"), "{err}");
-    }
-
-    #[test]
-    fn ensure_slots_grows_monotonically() {
-        let mut a = CycleAttribution::default();
-        a.ensure_slots(4, 2);
-        a.warp_issued[3] = 7;
-        a.ensure_slots(2, 1); // shrinking requests are ignored
-        assert_eq!(a.warp_issued.len(), 4);
-        assert_eq!(a.warp_issued[3], 7);
-        a.ensure_slots(6, 3);
-        assert_eq!(a.warp_issued.len(), 6);
-        assert_eq!(a.warp_head_stalls.len(), 6);
-        assert_eq!(a.block_issued.len(), 3);
     }
 
     #[test]
@@ -442,18 +399,14 @@ mod tests {
             d.iter().any(|l| l.contains("sched0.drained: 0 != 2")),
             "{d:?}"
         );
-    }
 
-    #[test]
-    fn diff_reports_aggregation_vectors() {
-        let a = SimStats::default();
-        let mut b = SimStats::default();
-        b.attribution.ensure_slots(2, 1);
-        b.attribution.warp_issued[1] = 3;
-        let d = a.diff(&b);
-        assert!(
-            d.iter().any(|l| l.starts_with("attribution.warp_issued")),
-            "{d:?}"
-        );
+        // Every counter of the table is compared, under its own name.
+        let mut c = SimStats::default();
+        for (_, v) in c.counters_mut() {
+            *v = 1;
+        }
+        let d = SimStats::default().diff(&c);
+        let names = c.counters().map(|(name, _)| format!("{name}: 0 != 1"));
+        assert_eq!(d, names, "{d:?}");
     }
 }

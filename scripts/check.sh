@@ -112,9 +112,6 @@ done
 
 # Slow tier (full-size grids; minutes in debug): cargo test -q -- --ignored
 
-echo "== cargo bench --no-run"
-cargo bench --workspace --no-run
-
 # Throughput tier: the decoded path must stay well ahead of the
 # reference interpreter (crat_sim::reference) on the probe mix. Both
 # are timed in this run, rep by rep on the same app, so the ratio
@@ -134,22 +131,13 @@ cargo bench --workspace --no-run
 echo "== sim-throughput smoke test (decoded/reference speedup)"
 cargo run -q --release --example sim_throughput_probe -- --micro --min-speedup 3.0
 
-# Alloc-sweep smoke tier: the shared-context allocator must beat the
-# cold per-point path over the full suite (recorded numbers live in
-# BENCH_alloc_sweep.json; the bench asserts both paths allocate the
-# same design points).
-echo "== alloc sweep smoke test"
-cargo bench -p crat-bench --bench alloc_sweep
-
 # Strategy-roster smoke tier: one app optimized end to end under every
 # pinnable allocator strategy plus the default roster; each run must
-# succeed and report a chosen design point. Then the roster-vs-pinned
-# bench (recorded numbers live in BENCH_alloc_strategies.json).
+# succeed and report a chosen design point.
 echo "== strategy roster smoke test"
 for strat in roster briggs sched-briggs ssa; do
   out=$(cargo run -q --release -p crat-cli -- app BAK --grid 30 --alloc-strategy "$strat")
   echo "$out" | grep -q "CRAT" || { echo "strategy $strat produced no CRAT line"; exit 1; }
 done
-cargo bench -p crat-bench --bench alloc_strategies
 
 echo "All checks passed."

@@ -17,14 +17,25 @@ use crat_suite::workloads::{build_kernel, launch_sized, micro, suite, AppSpec};
 
 #[test]
 fn every_app_matches_the_reference_interpreter() {
+    // Grid 6 puts one block on the simulated SM, uncapped; grid
+    // `num_sms + 1` puts two there and TLP 1 runs them one after the
+    // other, so the second block relaunches into the first one's slot.
     let gpu = GpuConfig::fermi();
     for app in suite::all() {
         let kernel = build_kernel(app);
-        let launch = launch_sized(app, 6);
-        for tlp in [None, Some(2)] {
+        for (grid, tlp) in [(6, None), (gpu.num_sms + 1, Some(1))] {
+            let launch = launch_sized(app, grid);
             let new = simulate_capture(&kernel, &gpu, &launch, 21, tlp);
             let old = reference::simulate_capture(&kernel, &gpu, &launch, 21, tlp);
-            assert_eq!(new, old, "app {} diverges at tlp {tlp:?}", app.abbr);
+            if tlp.is_some() {
+                let ran = new.as_ref().map(|(s, _)| (s.blocks, s.resident_blocks));
+                assert_eq!(ran, Ok((2, 1)), "app {} at grid {grid}", app.abbr);
+            }
+            assert_eq!(
+                new, old,
+                "app {} diverges at grid {grid}, tlp {tlp:?}",
+                app.abbr
+            );
         }
     }
 }
