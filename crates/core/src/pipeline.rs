@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 use crat_ptx::{Cfg, Kernel, Space};
 use crat_regalloc::{
-    allocate_linear_scan_with, allocate_with, strategy, AllocContext, AllocError, AllocOptions,
-    Allocation, ContextSource, LayoutPolicy, ShmBankParams, ShmSpillConfig,
+    allocate_linear_scan_with, allocate_with, AllocError, AllocOptions, Allocation, LayoutPolicy,
+    ShmBankParams, ShmSpillConfig,
 };
 use crat_sim::{occupancy, GpuConfig, LaunchConfig};
 
@@ -358,26 +358,6 @@ pub(crate) fn allocate_degraded(
     })
 }
 
-/// A [`ContextSource`] backed by the engine's structural-hash cache,
-/// attributing cache hits to the strategy that made them. The
-/// scheduled kernel of `sched+briggs` keys by its own hash, so an
-/// unchanged schedule shares the plain kernel's context.
-struct StrategyCtxSource<'a> {
-    engine: &'a EvalEngine,
-    kind: AllocStrategy,
-}
-
-impl ContextSource for StrategyCtxSource<'_> {
-    fn context(&self, kernel: &Kernel) -> Arc<AllocContext> {
-        let (ctx, hit) = self.engine.alloc_context_tracked(kernel);
-        if hit {
-            self.engine
-                .bump(|c| c.strategies[self.kind.index()].ctx_reuse += 1);
-        }
-        ctx
-    }
-}
-
 /// Poll the fault-injection hook for `kind`: test-only, always false
 /// in production (the disarmed path is one relaxed atomic load).
 fn strategy_fault_injected(kind: AllocStrategy) -> bool {
@@ -389,7 +369,11 @@ fn strategy_fault_injected(kind: AllocStrategy) -> bool {
 }
 
 /// Run one roster strategy under the `+2` budget-escalation ladder,
-/// drawing shared analyses from the engine's context cache.
+/// drawing shared analyses from the engine's context cache. Every
+/// attempt fetches the context of the kernel it allocates and credits
+/// a cache hit to `kind`; the scheduled kernel of `sched+briggs` keys
+/// by its own hash, so an unchanged schedule shares the plain
+/// kernel's context.
 fn run_strategy(
     engine: &EvalEngine,
     kernel: &Kernel,
@@ -397,12 +381,18 @@ fn run_strategy(
     budget: u32,
     shm: Option<ShmSpillConfig>,
 ) -> Result<(Allocation, u32), AllocError> {
-    let ctxs = StrategyCtxSource { engine, kind };
+    let ctx = |k: &Kernel| {
+        let (ctx, hit) = engine.alloc_context_tracked(k);
+        if hit {
+            engine.bump(|c| c.strategies[kind.index()].ctx_reuse += 1);
+        }
+        ctx
+    };
     escalate(
         budget,
         |opts| {
             engine.bump(|c| c.allocs_run += 1);
-            strategy(kind).allocate(kernel, &ctxs, opts)
+            kind.allocate(kernel, ctx, opts)
         },
         shm,
     )

@@ -1,8 +1,8 @@
-//! The fault-injection harness (ISSUE 4): deterministic, seed-driven
-//! adversarial inputs thrown at every pipeline layer — mutated PTX at
-//! the parser, hostile launches and shrunken GPUs at the simulator,
-//! starved budgets at the allocator, and injected panics at the
-//! engine's workers. Every seed must produce a structured error or a
+//! The fault-injection harness: deterministic, seed-driven adversarial
+//! inputs thrown at every pipeline layer — mutated PTX at the parser,
+//! hostile launches and shrunken GPUs at the simulator, starved
+//! budgets at the allocator, and injected panics at the engine's
+//! workers. Every seed must produce a structured error or a
 //! degraded-but-valid result: no process panic, no hang, no deadline
 //! overrun.
 //!

@@ -1,8 +1,8 @@
-//! Property tests for the persistent store's record codec (ISSUE 9
-//! satellite): arbitrary persistable results round-trip losslessly
-//! through `encode_record`/`decode_record`, and *any* single-byte
-//! mutation of an encoded record is rejected by the header's checksum
-//! chain — the framing leaves no undetected-corruption gap.
+//! Property tests for the persistent store's record codec: arbitrary
+//! persistable results round-trip losslessly through
+//! `encode_record`/`decode_record`, and *any* single-byte mutation of
+//! an encoded record is rejected by the header's checksum chain — the
+//! framing leaves no undetected-corruption gap.
 
 use proptest::prelude::*;
 

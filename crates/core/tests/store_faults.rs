@@ -1,6 +1,6 @@
-//! The disk-fault-injection tier (ISSUE 9): seeded byte-level attacks
-//! on the persistent result store's on-disk records, extending the
-//! ISSUE 4 fault harness to the filesystem boundary. Every scenario
+//! The disk-fault-injection tier: seeded byte-level attacks on the
+//! persistent result store's on-disk records, extending the
+//! `fault_injection` harness to the filesystem boundary. Every scenario
 //! must end in structured degradation — the damaged record is
 //! quarantined and the result recomputed, bit-identical to an
 //! undamaged run — with zero panics and zero wrong results.

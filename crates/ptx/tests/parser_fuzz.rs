@@ -1,6 +1,6 @@
-//! Parser crash-freedom (ISSUE 4): arbitrary byte strings and
-//! mutated-valid PTX must always come back as `Ok` or a structured
-//! `ParseError` — the parser must never panic, whatever the input.
+//! Parser crash-freedom: arbitrary byte strings and mutated-valid PTX
+//! must always come back as `Ok` or a structured `ParseError` — the
+//! parser must never panic, whatever the input.
 //!
 //! The mutator here is a tiny local copy of the `crat-sim` fault
 //! plan's PTX mutations (this crate sits below `crat-sim` in the

@@ -1,9 +1,11 @@
 //! The Chaitin–Briggs register allocator (paper §5), driving the
 //! build → color → spill loop and the shared-memory spill optimization.
+//! The SSA spiller ([`crate::allocate_ssa`]) runs the same loop with
+//! its Belady pre-pass switched on.
 
 use std::collections::HashMap;
 
-use crat_ptx::{Cfg, Kernel, Liveness, Type, VReg};
+use crat_ptx::{Cfg, Kernel, LiveRange, Liveness, Type, VReg};
 
 use crate::coloring::{try_color, ColorAssignment, ColorOutcome};
 use crate::context::AllocContext;
@@ -11,7 +13,8 @@ use crate::interference::InterferenceGraph;
 use crate::result::{Allocation, SpillHome};
 use crate::shm_opt::{knapsack_select, SpillLayout};
 use crate::spill::SpillState;
-use crate::{AllocError, AllocOptions, ShmSpillConfig};
+use crate::ssa_spill::belady_spill_picks;
+use crate::{AllocError, AllocOptions, ShmSpillConfig, MAX_ITERATIONS};
 
 /// Allocate `kernel`'s virtual registers into at most
 /// `opts.budget_slots` 32-bit registers per thread using
@@ -45,7 +48,7 @@ use crate::{AllocError, AllocOptions, ShmSpillConfig};
 /// # Ok::<(), crat_regalloc::AllocError>(())
 /// ```
 pub fn allocate(kernel: &Kernel, opts: &AllocOptions) -> Result<Allocation, AllocError> {
-    run_with_shm_fallback(kernel, None, opts)
+    run_with_shm_fallback(kernel, None, opts, false)
 }
 
 /// [`allocate`] borrowing a shared [`AllocContext`] for the first
@@ -67,21 +70,24 @@ pub fn allocate_with(
     ctx: &AllocContext,
     opts: &AllocOptions,
 ) -> Result<Allocation, AllocError> {
-    run_with_shm_fallback(kernel, Some(ctx), opts)
+    run_with_shm_fallback(kernel, Some(ctx), opts, false)
 }
 
-fn run_with_shm_fallback(
+/// The build–color–spill loop behind [`allocate`] and, with `belady`
+/// set, [`crate::allocate_ssa`].
+pub(crate) fn run_with_shm_fallback(
     kernel: &Kernel,
     ctx: Option<&AllocContext>,
     opts: &AllocOptions,
+    belady: bool,
 ) -> Result<Allocation, AllocError> {
-    match run(kernel, ctx, opts, true) {
+    match run(kernel, ctx, opts, true, belady) {
         Ok(a) => Ok(a),
         // If the budget only became infeasible after the shared-memory
         // rewrite added its address-setup registers, fall back to
         // local-only spilling rather than failing.
         Err((AllocError::BudgetTooSmall { .. }, true)) if opts.shm_spill.is_some() => {
-            run(kernel, ctx, opts, false).map_err(|(e, _)| e)
+            run(kernel, ctx, opts, false, belady).map_err(|(e, _)| e)
         }
         Err((e, _)) => Err(e),
     }
@@ -92,6 +98,7 @@ fn run(
     ctx: Option<&AllocContext>,
     opts: &AllocOptions,
     enable_shm: bool,
+    belady: bool,
 ) -> Result<Allocation, (AllocError, bool)> {
     kernel
         .validate()
@@ -102,7 +109,7 @@ fn run(
     );
 
     let mut work = kernel.clone();
-    let mut st = SpillState::with_split(opts.spill_split);
+    let mut st = SpillState::default();
     let shm_enabled = if enable_shm { opts.shm_spill } else { None };
     let report_block_size = opts.shm_spill.map_or(1, |s| s.block_size);
     let mut rehomed = false;
@@ -111,20 +118,30 @@ fn run(
     // (the kernel is still exactly the one it was built from); every
     // later iteration runs on spill-rewritten code and rebuilds.
     let mut shared = ctx;
-    for _ in 0..opts.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         let owned;
-        let (cfg, ranges, graph): (&Cfg, &[crat_ptx::LiveRange], &InterferenceGraph) =
+        let (cfg, lv, ranges, graph): (&Cfg, &Liveness, &[LiveRange], &InterferenceGraph) =
             match shared.take() {
-                Some(c) => (&c.cfg, &c.ranges, &c.graph),
+                Some(c) => (&c.cfg, &c.liveness, &c.ranges, &c.graph),
                 None => {
                     let cfg = Cfg::build(&work);
                     let lv = Liveness::compute(&work, &cfg);
                     let ranges = lv.ranges(&work, &cfg);
                     let graph = InterferenceGraph::build(&work, &cfg, &lv);
-                    owned = (cfg, ranges, graph);
-                    (&owned.0, &owned.1, &owned.2)
+                    owned = (cfg, lv, ranges, graph);
+                    (&owned.0, &owned.1, &owned.2, &owned.3)
                 }
             };
+
+        // The SSA spiller plans spills by furthest next use before
+        // coloring; coloring stays the authoritative budget gate.
+        if belady {
+            let picks = belady_spill_picks(&work, lv, ranges, opts.budget_slots, &st.unspillable);
+            if !picks.is_empty() {
+                st.spill_vregs(&mut work, &picks);
+                continue;
+            }
+        }
 
         match try_color(&work, graph, ranges, opts.budget_slots, &st.unspillable) {
             ColorOutcome::Colored(assignment) => {
@@ -157,15 +174,6 @@ fn run(
                 });
             }
             ColorOutcome::Spill(vregs) => {
-                if std::env::var("CRAT_ALLOC_DEBUG").is_ok() {
-                    eprintln!(
-                        "spill round: {:?}",
-                        vregs
-                            .iter()
-                            .map(|v| (v.0, work.reg_ty(*v)))
-                            .collect::<Vec<_>>()
-                    );
-                }
                 st.spill_vregs(&mut work, &vregs);
             }
             ColorOutcome::Fatal => {

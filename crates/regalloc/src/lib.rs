@@ -78,7 +78,7 @@ pub use shm_opt::{
     ShmBankParams, SpillLayout,
 };
 pub use ssa_spill::{allocate_ssa, allocate_ssa_with};
-pub use strategy::{strategy, AllocatorStrategy, ContextSource, FreshContext, StrategyKind};
+pub use strategy::StrategyKind;
 
 /// Configuration for the shared-memory spilling optimization
 /// (Algorithm 1).
@@ -124,24 +124,6 @@ impl ShmSpillConfig {
     }
 }
 
-/// How the spill stack splits into sub-stacks for Algorithm 1.
-///
-/// The paper splits "according to the data type and the width of the
-/// spilled variables" and leaves alternative methods as future work;
-/// all three are implemented here (see the `ablation_split` binary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpillSplit {
-    /// One sub-stack per PTX type (the paper's method).
-    #[default]
-    ByType,
-    /// One sub-stack per register width (coarser: all 32-bit types
-    /// share, all 64-bit types share).
-    ByWidth,
-    /// One sub-stack per spilled variable (finest granularity: the
-    /// knapsack decides variable by variable).
-    PerVariable,
-}
-
 /// Options for the register allocators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocOptions {
@@ -150,10 +132,6 @@ pub struct AllocOptions {
     pub budget_slots: u32,
     /// Enable the shared-memory spilling optimization.
     pub shm_spill: Option<ShmSpillConfig>,
-    /// How the spill stack splits into sub-stacks.
-    pub spill_split: SpillSplit,
-    /// Maximum build–color–spill iterations before giving up.
-    pub max_iterations: u32,
 }
 
 impl AllocOptions {
@@ -163,8 +141,6 @@ impl AllocOptions {
         AllocOptions {
             budget_slots,
             shm_spill: None,
-            spill_split: SpillSplit::ByType,
-            max_iterations: 64,
         }
     }
 
@@ -173,13 +149,11 @@ impl AllocOptions {
         self.shm_spill = Some(cfg);
         self
     }
-
-    /// Choose a spill-stack split strategy.
-    pub fn with_spill_split(mut self, split: SpillSplit) -> AllocOptions {
-        self.spill_split = split;
-        self
-    }
 }
+
+/// Build–color–spill iterations every allocator (and the reference
+/// oracle) runs before giving up with [`AllocError::IterationLimit`].
+const MAX_ITERATIONS: u32 = 64;
 
 /// Errors produced by the allocators.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,8 +165,8 @@ pub enum AllocError {
         /// The budget that was requested.
         budget_slots: u32,
     },
-    /// The spill loop did not converge within
-    /// [`AllocOptions::max_iterations`].
+    /// The spill loop did not converge within 64 build–color–spill
+    /// iterations.
     IterationLimit,
 }
 

@@ -14,7 +14,7 @@ use crat_ptx::{Cfg, Kernel, Liveness, Type, VReg};
 use crate::coloring::ColorAssignment;
 use crate::context::AllocContext;
 use crate::spill::SpillState;
-use crate::{briggs::rename_to_physical, AllocError, AllocOptions, Allocation};
+use crate::{briggs::rename_to_physical, AllocError, AllocOptions, Allocation, MAX_ITERATIONS};
 
 /// Allocate registers by linear scan over live-interval hulls.
 ///
@@ -79,7 +79,7 @@ fn run(
     let mut st = SpillState::default();
 
     let mut shared = ctx;
-    for _ in 0..opts.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         let owned;
         let (cfg, ranges): (&Cfg, &[crat_ptx::LiveRange]) = match shared.take() {
             Some(c) => (&c.cfg, &c.ranges),

@@ -25,7 +25,7 @@ use crate::briggs::{plan_shared_rehoming, rename_to_physical};
 use crate::coloring::{ColorAssignment, ColorOutcome};
 use crate::result::Allocation;
 use crate::spill::SpillState;
-use crate::{AllocError, AllocOptions};
+use crate::{AllocError, AllocOptions, MAX_ITERATIONS};
 
 /// The original adjacency-set interference graph.
 #[derive(Debug, Clone)]
@@ -295,12 +295,12 @@ fn run(
         .map_err(|e| (AllocError::InvalidKernel(e), false))?;
 
     let mut work = kernel.clone();
-    let mut st = SpillState::with_split(opts.spill_split);
+    let mut st = SpillState::default();
     let shm_enabled = if enable_shm { opts.shm_spill } else { None };
     let report_block_size = opts.shm_spill.map_or(1, |s| s.block_size);
     let mut rehomed = false;
 
-    for _ in 0..opts.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         let cfg = Cfg::build(&work);
         let lv = Liveness::compute(&work, &cfg);
         let ranges = lv.ranges(&work, &cfg);

@@ -1,9 +1,8 @@
 //! Spill-code insertion.
 //!
-//! Spilled variables live in *sub-stacks* (the paper splits the spill
-//! stack "according to the data type and the width of the spilled
-//! variables"; [`crate::SpillSplit`] offers the alternative splits the
-//! paper left as future work). All local-memory sub-stacks share one
+//! Spilled variables live in *sub-stacks*, one per PTX type (the paper
+//! splits the spill stack "according to the data type and the width
+//! of the spilled variables"). All local-memory sub-stacks share one
 //! `.local` backing array addressed through a single 64-bit base
 //! register materialized in the entry block (the paper's Listing 4
 //! `mov.u64 %d0, SpillStack`). The knapsack optimization re-homes
@@ -52,8 +51,6 @@ impl SubStack {
 /// Mutable spilling state threaded through the allocator's iterations.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SpillState {
-    pub split: crate::SpillSplit,
-    // (remaining fields below stay crate-private to this module)
     pub substacks: Vec<SubStack>,
     pub assigned: Vec<SpilledVar>,
     /// Registers that must never be chosen as spill candidates: spill
@@ -112,14 +109,6 @@ fn op_with_dst(op: &Op, new_dst: VReg) -> Op {
 }
 
 impl SpillState {
-    /// State using the given split strategy.
-    pub fn with_split(split: crate::SpillSplit) -> SpillState {
-        SpillState {
-            split,
-            ..SpillState::default()
-        }
-    }
-
     /// The shared local array's base register, creating the array and
     /// its entry-block address move on first use.
     fn local_base(&mut self, kernel: &mut Kernel) -> VReg {
@@ -151,15 +140,10 @@ impl SpillState {
         // Only append to sub-stacks still in local memory: spills that
         // happen after a sub-stack was re-homed to shared memory (the
         // knapsack sized it exactly) go to a fresh local one.
-        let matches = |s: &SubStack| match self.split {
-            crate::SpillSplit::ByType => s.ty == ty,
-            crate::SpillSplit::ByWidth => s.ty.reg_slots() == ty.reg_slots(),
-            crate::SpillSplit::PerVariable => false,
-        };
         if let Some(i) = self
             .substacks
             .iter()
-            .position(|s| matches(s) && s.home == SpillHome::Local)
+            .position(|s| s.ty == ty && s.home == SpillHome::Local)
         {
             return i;
         }
@@ -836,7 +820,6 @@ mod tests {
 #[cfg(test)]
 mod split_tests {
     use super::*;
-    use crate::SpillSplit;
     use crat_ptx::{KernelBuilder, Operand};
 
     /// A kernel whose spill set mixes u32, f32, and u64 values.
@@ -859,84 +842,19 @@ mod split_tests {
         (b.finish(), vec![a, f2, w2])
     }
 
-    fn substack_count(split: SpillSplit) -> usize {
-        let (mut k, victims) = mixed_kernel();
-        let mut st = SpillState {
-            split,
-            ..SpillState::default()
-        };
-        st.spill_vregs(&mut k, &victims);
-        assert!(k.validate().is_ok(), "{split:?}");
-        st.substacks.len()
-    }
-
     #[test]
     fn by_type_separates_all_three_types() {
-        assert_eq!(substack_count(SpillSplit::ByType), 3);
-    }
-
-    #[test]
-    fn by_width_merges_same_width_types() {
-        // u32 and f32 share one 4-byte sub-stack; u64 gets its own.
-        assert_eq!(substack_count(SpillSplit::ByWidth), 2);
-    }
-
-    #[test]
-    fn per_variable_gives_one_stack_each() {
-        assert_eq!(substack_count(SpillSplit::PerVariable), 3);
-    }
-
-    #[test]
-    fn per_variable_split_on_same_type_vars() {
-        // Three same-typed victims: by-type shares one sub-stack,
-        // per-variable splits into three -- with NO extra base
-        // registers (all local sub-stacks share one).
-        let build = || {
-            let mut b = KernelBuilder::new("same");
-            let t = b.special_tid_x(Type::U32);
-            let v1 = b.add(Type::U32, t, Operand::Imm(1));
-            let v2 = b.add(Type::U32, t, Operand::Imm(2));
-            let v3 = b.add(Type::U32, t, Operand::Imm(3));
-            let s1 = b.add(Type::U32, v1, v2);
-            let s2 = b.add(Type::U32, s1, v3);
-            let out = b.param_ptr("out");
-            let addr = b.wide_address(out, s2, 4);
-            b.st(Space::Global, Type::U32, Address::reg(addr), s2);
-            (b.finish(), vec![v1, v2, v3])
-        };
-        let (mut k1, victims1) = build();
-        let mut st = SpillState {
-            split: SpillSplit::ByType,
-            ..SpillState::default()
-        };
-        st.spill_vregs(&mut k1, &victims1);
-        assert_eq!(st.substacks.len(), 1);
-
-        let (mut k2, victims2) = build();
-        let mut st = SpillState {
-            split: SpillSplit::PerVariable,
-            ..SpillState::default()
-        };
-        st.spill_vregs(&mut k2, &victims2);
+        let (mut k, victims) = mixed_kernel();
+        let mut st = SpillState::default();
+        st.spill_vregs(&mut k, &victims);
+        assert!(k.validate().is_ok());
         assert_eq!(st.substacks.len(), 3);
-        assert!(st.substacks.iter().all(|s| s.slots == 1));
-        // Exactly one base-address mov regardless of the split.
-        let base_movs = k2
-            .insts()
-            .filter(
-                |(_, _, i)| matches!(&i.op, Op::MovVarAddr { var, .. } if var == LOCAL_STACK_VAR),
-            )
-            .count();
-        assert_eq!(base_movs, 1);
     }
 
     #[test]
     fn mixed_width_offsets_are_aligned() {
         let (mut k, victims) = mixed_kernel();
-        let mut st = SpillState {
-            split: SpillSplit::ByType,
-            ..SpillState::default()
-        };
+        let mut st = SpillState::default();
         st.spill_vregs(&mut k, &victims);
         for s in &st.substacks {
             for &o in &s.slot_offsets {

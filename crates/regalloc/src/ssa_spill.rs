@@ -6,12 +6,16 @@
 //! working set overflows, evicts the value whose next use is furthest
 //! away (Braun & Hack's SSA-based generalization of Belady's optimal
 //! replacement). Evicted values are spilled through the shared
-//! [`SpillState`] machinery, which reloads into a fresh temporary at
+//! `SpillState` machinery, which reloads into a fresh temporary at
 //! every use — live-range splitting at use granularity, so a spilled
 //! value only occupies a register in the short windows where it is
 //! actually read.
 //!
-//! Coloring ([`try_color`]) then runs on the pre-spilled kernel and
+//! This module holds the planner and its entry points. The allocator
+//! is Briggs' build–color–spill loop (`briggs.rs`) with the planner
+//! run at the top of every iteration: while it picks anything, those
+//! registers are spilled and the loop rebuilds. Coloring
+//! ([`crate::try_color`]) then runs on the pre-spilled kernel and
 //! remains the authoritative budget gate: any residual pressure the
 //! MIN pass could not see (cross-block interference, pair alignment)
 //! is resolved by the usual spill-and-retry loop, and infeasible
@@ -20,13 +24,10 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crat_ptx::{Cfg, Kernel, LiveRange, Liveness, Type, VReg};
+use crat_ptx::{Kernel, LiveRange, Liveness, Type, VReg};
 
-use crate::briggs::{plan_shared_rehoming, rename_to_physical};
-use crate::coloring::{try_color, ColorOutcome};
+use crate::briggs::run_with_shm_fallback;
 use crate::context::AllocContext;
-use crate::interference::InterferenceGraph;
-use crate::spill::SpillState;
 use crate::{AllocError, AllocOptions, Allocation};
 
 /// Allocate `kernel` with Belady/furthest-next-use spill planning
@@ -51,7 +52,7 @@ use crate::{AllocError, AllocOptions, Allocation};
 /// # Ok::<(), crat_regalloc::AllocError>(())
 /// ```
 pub fn allocate_ssa(kernel: &Kernel, opts: &AllocOptions) -> Result<Allocation, AllocError> {
-    run_with_shm_fallback(kernel, None, opts)
+    run_with_shm_fallback(kernel, None, opts, true)
 }
 
 /// [`allocate_ssa`] borrowing a shared [`AllocContext`] for the first
@@ -65,111 +66,7 @@ pub fn allocate_ssa_with(
     ctx: &AllocContext,
     opts: &AllocOptions,
 ) -> Result<Allocation, AllocError> {
-    run_with_shm_fallback(kernel, Some(ctx), opts)
-}
-
-fn run_with_shm_fallback(
-    kernel: &Kernel,
-    ctx: Option<&AllocContext>,
-    opts: &AllocOptions,
-) -> Result<Allocation, AllocError> {
-    match run(kernel, ctx, opts, true) {
-        Ok(a) => Ok(a),
-        // As in the Briggs path: if the budget only became infeasible
-        // after the shared-memory rewrite added its address-setup
-        // registers, retry with local-only spilling.
-        Err((AllocError::BudgetTooSmall { .. }, true)) if opts.shm_spill.is_some() => {
-            run(kernel, ctx, opts, false).map_err(|(e, _)| e)
-        }
-        Err((e, _)) => Err(e),
-    }
-}
-
-fn run(
-    kernel: &Kernel,
-    ctx: Option<&AllocContext>,
-    opts: &AllocOptions,
-    enable_shm: bool,
-) -> Result<Allocation, (AllocError, bool)> {
-    kernel
-        .validate()
-        .map_err(|e| (AllocError::InvalidKernel(e), false))?;
-    debug_assert!(
-        ctx.is_none_or(|c| c.num_regs() == kernel.num_regs()),
-        "AllocContext was built from a different kernel"
-    );
-
-    let mut work = kernel.clone();
-    let mut st = SpillState::with_split(opts.spill_split);
-    let shm_enabled = if enable_shm { opts.shm_spill } else { None };
-    let report_block_size = opts.shm_spill.map_or(1, |s| s.block_size);
-    let mut rehomed = false;
-
-    let mut shared = ctx;
-    for _ in 0..opts.max_iterations {
-        let owned;
-        let (cfg, lv, ranges, graph): (&Cfg, &Liveness, &[LiveRange], &InterferenceGraph) =
-            match shared.take() {
-                Some(c) => (&c.cfg, &c.liveness, &c.ranges, &c.graph),
-                None => {
-                    let cfg = Cfg::build(&work);
-                    let lv = Liveness::compute(&work, &cfg);
-                    let ranges = lv.ranges(&work, &cfg);
-                    let graph = InterferenceGraph::build(&work, &cfg, &lv);
-                    owned = (cfg, lv, ranges, graph);
-                    (&owned.0, &owned.1, &owned.2, &owned.3)
-                }
-            };
-
-        // Phase 1: the MIN pre-pass plans spills by furthest next use.
-        let picks = belady_spill_picks(&work, lv, ranges, opts.budget_slots, &st.unspillable);
-        if !picks.is_empty() {
-            st.spill_vregs(&mut work, &picks);
-            continue;
-        }
-
-        // Phase 2: color. Identical machinery to the Briggs path; the
-        // MIN pass has usually already brought pressure under budget.
-        match try_color(&work, graph, ranges, opts.budget_slots, &st.unspillable) {
-            ColorOutcome::Colored(assignment) => {
-                if let Some(shm) = shm_enabled {
-                    let used = st
-                        .report(&work, cfg, shm.block_size)
-                        .shared_spill_bytes_per_block;
-                    let spare = shm.spare_bytes.saturating_sub(used);
-                    let picks = plan_shared_rehoming(&st, &work, cfg, spare, &shm);
-                    if !picks.is_empty() {
-                        for (si, layout) in picks {
-                            st.rehome_to_shared(&mut work, si, shm.block_size, layout);
-                        }
-                        rehomed = true;
-                        continue; // re-color with the setup code in place
-                    }
-                }
-                let spills = st.report(&work, cfg, report_block_size);
-                let (physical, pred_regs_used) = rename_to_physical(&work, &assignment);
-                debug_assert_eq!(physical.validate(), Ok(()));
-                return Ok(Allocation {
-                    kernel: physical,
-                    slots_used: assignment.slots_used,
-                    pred_regs_used,
-                    spills,
-                });
-            }
-            ColorOutcome::Spill(vregs) => {
-                st.spill_vregs(&mut work, &vregs);
-            }
-            ColorOutcome::Fatal => {
-                return Err((
-                    AllocError::BudgetTooSmall {
-                        budget_slots: opts.budget_slots,
-                    },
-                    rehomed,
-                ))
-            }
-        }
-    }
-    Err((AllocError::IterationLimit, rehomed))
+    run_with_shm_fallback(kernel, Some(ctx), opts, true)
 }
 
 /// Next-use distance encoding: in-block positions order before the
@@ -183,8 +80,8 @@ const FAR: usize = usize::MAX;
 ///
 /// The pass is a *planner*, not a gate: values it cannot evict
 /// (unspillable temporaries, single-point ranges, predicates) are
-/// tolerated over budget and left for [`try_color`] to resolve.
-fn belady_spill_picks(
+/// tolerated over budget and left for [`crate::try_color`] to resolve.
+pub(crate) fn belady_spill_picks(
     work: &Kernel,
     lv: &Liveness,
     ranges: &[LiveRange],

@@ -1,28 +1,26 @@
-//! The pluggable allocator-strategy layer.
+//! The allocator roster's one dispatch point.
 //!
-//! The CRAT pipeline originally hardwired one allocation algorithm
-//! (Chaitin–Briggs with a linear-scan degradation rung). The TPSC
-//! winner, however, is decided by *how few registers an allocator can
-//! reach at acceptable spill cost* — a knob different algorithms turn
-//! differently. This module abstracts allocation behind
-//! [`AllocatorStrategy`] so the design-point sweep can run a roster of
-//! competing strategies per point and keep the best:
+//! The TPSC winner is decided by *how few registers an allocator can
+//! reach at acceptable spill cost*, a knob different algorithms turn
+//! differently, so the design-point sweep runs a roster of strategies
+//! per point and keeps the best. [`StrategyKind`] names them and
+//! [`StrategyKind::allocate`] runs one:
 //!
 //! * [`StrategyKind::Briggs`] — the build–color–spill allocator
 //!   ([`crate::allocate`]), today's default;
 //! * [`StrategyKind::SchedBriggs`] — the min-reg pre-scheduler
 //!   ([`crate::min_reg_schedule`]) composed with Briggs;
 //! * [`StrategyKind::Ssa`] — Braun–Hack-style spill minimization
-//!   ([`crate::allocate_ssa`]), which picks spill candidates by
-//!   furthest next use before coloring;
+//!   ([`crate::allocate_ssa`]): Briggs' loop with a Belady pre-pass
+//!   that picks spill candidates by furthest next use before coloring;
 //! * [`StrategyKind::LinearScan`] — the Poletto–Sarkar scan
 //!   ([`crate::allocate_linear_scan`]), kept as the degradation rung
 //!   rather than a roster member.
 //!
-//! Strategies obtain their budget-independent analyses through a
-//! [`ContextSource`], so a caching engine (crat-core's `EvalEngine`)
-//! can share one [`AllocContext`] across every strategy and budget
-//! that allocates the same kernel.
+//! Each allocation asks its caller for the budget-independent
+//! analyses ([`AllocContext`]) of the kernel it allocates, so a
+//! caching engine (crat-core's `EvalEngine`) can share one context
+//! across every strategy and budget that allocates the same kernel.
 
 use std::fmt;
 use std::sync::Arc;
@@ -32,8 +30,8 @@ use crat_ptx::Kernel;
 use crate::context::AllocContext;
 use crate::sched::min_reg_schedule;
 use crate::{
-    allocate_linear_scan_with, allocate_with, ssa_spill::allocate_ssa_with, AllocError,
-    AllocOptions, Allocation,
+    allocate_linear_scan_with, allocate_ssa_with, allocate_with, AllocError, AllocOptions,
+    Allocation,
 };
 
 /// Identifies one allocation strategy.
@@ -114,135 +112,37 @@ impl StrategyKind {
             _ => None,
         }
     }
+
+    /// Allocate `kernel` within `opts` with this strategy. `ctx`
+    /// returns the [`AllocContext`] of the kernel it is handed, which
+    /// is the kernel actually allocated: the scheduled one for
+    /// [`StrategyKind::SchedBriggs`]. It is called once per
+    /// allocation.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`crate::allocate`].
+    pub fn allocate(
+        self,
+        kernel: &Kernel,
+        ctx: impl FnOnce(&Kernel) -> Arc<AllocContext>,
+        opts: &AllocOptions,
+    ) -> Result<Allocation, AllocError> {
+        match self {
+            StrategyKind::Briggs => allocate_with(kernel, &ctx(kernel), opts),
+            StrategyKind::SchedBriggs => {
+                let (scheduled, _report) = min_reg_schedule(kernel);
+                allocate_with(&scheduled, &ctx(&scheduled), opts)
+            }
+            StrategyKind::Ssa => allocate_ssa_with(kernel, &ctx(kernel), opts),
+            StrategyKind::LinearScan => allocate_linear_scan_with(kernel, &ctx(kernel), opts),
+        }
+    }
 }
 
 impl fmt::Display for StrategyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// Supplies the budget-independent analyses ([`AllocContext`]) a
-/// strategy needs for the kernel it is about to allocate.
-///
-/// The pipeline's engine implements this with its structural-hash
-/// cache, so the scheduled kernel of [`StrategyKind::SchedBriggs`]
-/// shares a context with the plain kernel whenever scheduling was a
-/// no-op, and every roster member reuses one context per kernel.
-pub trait ContextSource {
-    /// A context built from exactly this `kernel`.
-    fn context(&self, kernel: &Kernel) -> Arc<AllocContext>;
-}
-
-/// A [`ContextSource`] with no cache: builds a fresh context on every
-/// call. The standalone-use default.
-pub struct FreshContext;
-
-impl ContextSource for FreshContext {
-    fn context(&self, kernel: &Kernel) -> Arc<AllocContext> {
-        Arc::new(AllocContext::build(kernel))
-    }
-}
-
-/// One allocation algorithm, pluggable into the design-point sweep.
-pub trait AllocatorStrategy: Sync {
-    /// Which strategy this is.
-    fn kind(&self) -> StrategyKind;
-
-    /// Allocate `kernel` within `opts`, drawing shared analyses from
-    /// `ctxs`.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`crate::allocate`].
-    fn allocate(
-        &self,
-        kernel: &Kernel,
-        ctxs: &dyn ContextSource,
-        opts: &AllocOptions,
-    ) -> Result<Allocation, AllocError>;
-}
-
-/// [`StrategyKind::Briggs`] as a strategy object.
-struct BriggsStrategy;
-
-impl AllocatorStrategy for BriggsStrategy {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Briggs
-    }
-
-    fn allocate(
-        &self,
-        kernel: &Kernel,
-        ctxs: &dyn ContextSource,
-        opts: &AllocOptions,
-    ) -> Result<Allocation, AllocError> {
-        allocate_with(kernel, &ctxs.context(kernel), opts)
-    }
-}
-
-/// [`StrategyKind::SchedBriggs`]: min-reg schedule, then Briggs.
-struct SchedBriggsStrategy;
-
-impl AllocatorStrategy for SchedBriggsStrategy {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::SchedBriggs
-    }
-
-    fn allocate(
-        &self,
-        kernel: &Kernel,
-        ctxs: &dyn ContextSource,
-        opts: &AllocOptions,
-    ) -> Result<Allocation, AllocError> {
-        let (scheduled, _report) = min_reg_schedule(kernel);
-        allocate_with(&scheduled, &ctxs.context(&scheduled), opts)
-    }
-}
-
-/// [`StrategyKind::Ssa`] as a strategy object.
-struct SsaStrategy;
-
-impl AllocatorStrategy for SsaStrategy {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Ssa
-    }
-
-    fn allocate(
-        &self,
-        kernel: &Kernel,
-        ctxs: &dyn ContextSource,
-        opts: &AllocOptions,
-    ) -> Result<Allocation, AllocError> {
-        allocate_ssa_with(kernel, &ctxs.context(kernel), opts)
-    }
-}
-
-/// [`StrategyKind::LinearScan`] as a strategy object.
-struct LinearScanStrategy;
-
-impl AllocatorStrategy for LinearScanStrategy {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::LinearScan
-    }
-
-    fn allocate(
-        &self,
-        kernel: &Kernel,
-        ctxs: &dyn ContextSource,
-        opts: &AllocOptions,
-    ) -> Result<Allocation, AllocError> {
-        allocate_linear_scan_with(kernel, &ctxs.context(kernel), opts)
-    }
-}
-
-/// The strategy object for `kind` (all strategies are stateless).
-pub fn strategy(kind: StrategyKind) -> &'static dyn AllocatorStrategy {
-    match kind {
-        StrategyKind::Briggs => &BriggsStrategy,
-        StrategyKind::SchedBriggs => &SchedBriggsStrategy,
-        StrategyKind::Ssa => &SsaStrategy,
-        StrategyKind::LinearScan => &LinearScanStrategy,
     }
 }
 
@@ -281,14 +181,16 @@ mod tests {
         }
     }
 
+    fn fresh(kernel: &Kernel) -> Arc<AllocContext> {
+        Arc::new(AllocContext::build(kernel))
+    }
+
     #[test]
     fn every_strategy_allocates_a_small_kernel() {
         let k = small_kernel();
         for kind in StrategyKind::ALL {
-            let s = strategy(kind);
-            assert_eq!(s.kind(), kind);
-            let a = s
-                .allocate(&k, &FreshContext, &AllocOptions::new(16))
+            let a = kind
+                .allocate(&k, fresh, &AllocOptions::new(16))
                 .unwrap_or_else(|e| panic!("{kind}: {e}"));
             assert!(a.slots_used <= 16, "{kind}");
             assert!(a.kernel.validate().is_ok(), "{kind}");
@@ -299,8 +201,8 @@ mod tests {
     fn briggs_strategy_matches_direct_allocate() {
         let k = small_kernel();
         let direct = crate::allocate(&k, &AllocOptions::new(6)).unwrap();
-        let via = strategy(StrategyKind::Briggs)
-            .allocate(&k, &FreshContext, &AllocOptions::new(6))
+        let via = StrategyKind::Briggs
+            .allocate(&k, fresh, &AllocOptions::new(6))
             .unwrap();
         assert_eq!(direct, via);
     }

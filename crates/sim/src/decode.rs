@@ -229,9 +229,8 @@ pub struct DecodedInst {
     pub uses: [u32; 4],
     /// Number of valid entries in [`DecodedInst::uses`].
     pub nuses: u8,
-    /// Whether the instruction executes on the special function unit.
-    pub sfu: bool,
-    /// Execution class (vector dispatch).
+    /// Execution class (vector dispatch); [`OpClass::Sfu`] for the
+    /// instructions that run on the special function unit.
     pub class: OpClass,
     /// Scoreboard footprint: bitmask over registers `< 64` of every
     /// read ([`DecodedInst::uses`], guard and address bases included)
@@ -587,11 +586,10 @@ fn decode_inst(
         *slot = r.0;
     }
 
-    let sfu = inst.is_sfu();
     let class = match op {
         DOp::Ld { .. } | DOp::St { .. } => OpClass::Mem,
         DOp::Bar => OpClass::Bar,
-        _ if sfu => OpClass::Sfu,
+        _ if inst.is_sfu() => OpClass::Sfu,
         _ => OpClass::Alu,
     };
     let mut use_def_mask = 0u64;
@@ -611,7 +609,6 @@ fn decode_inst(
         def,
         uses,
         nuses: use_regs.len() as u8,
-        sfu,
         class,
         use_def_mask,
         feeds_stats: false,
@@ -933,7 +930,7 @@ mod tests {
         for i in insts {
             let expected = match i.op {
                 DOp::St { .. } | DOp::Ld { .. } => OpClass::Mem,
-                DOp::Unary { .. } if i.sfu => OpClass::Sfu,
+                DOp::Unary { op, .. } if op.is_sfu() => OpClass::Sfu,
                 _ => OpClass::Alu,
             };
             assert_eq!(i.class, expected, "{:?}", i.op);

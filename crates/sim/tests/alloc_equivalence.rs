@@ -125,27 +125,6 @@ fn spills_slow_the_kernel_down() {
 }
 
 #[test]
-fn alternative_spill_splits_preserve_semantics() {
-    use crat_regalloc::SpillSplit;
-    let k = workload(14, 16);
-    let reference = outputs(&k, 63);
-    let full = allocate(&k, &AllocOptions::new(63)).unwrap();
-    let budget = full.slots_used - 6;
-    for split in [
-        SpillSplit::ByType,
-        SpillSplit::ByWidth,
-        SpillSplit::PerVariable,
-    ] {
-        let opts = AllocOptions::new(budget + 6 * u32::from(split == SpillSplit::PerVariable))
-            .with_shm_spill(ShmSpillConfig::new(24 * 1024, 64))
-            .with_spill_split(split);
-        let alloc = allocate(&k, &opts).unwrap_or_else(|e| panic!("{split:?}: {e}"));
-        let got = outputs(&alloc.kernel, alloc.slots_used);
-        assert_eq!(got, reference, "{split:?} changed results");
-    }
-}
-
-#[test]
 fn l1_bypass_changes_timing_not_results() {
     let k = workload(10, 16);
     let launch = LaunchConfig::new(30, 64)

@@ -17,6 +17,10 @@
 //! # Ok::<(), crat_sim::SimError>(())
 //! ```
 
+// Robustness gate (DESIGN.md §7): non-test code in this crate must
+// surface failures as structured errors, not aborts.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod generator;
 mod inputs;
 pub mod micro;

@@ -18,9 +18,10 @@ echo "== cargo fmt --check"
 cargo fmt --check
 
 echo "== cargo clippy --workspace -- -D warnings"
-# Also enforces the robustness gate: crat-core and crat-cli carry
-# crate-level `deny(clippy::unwrap_used, clippy::expect_used)` on
-# non-test code (DESIGN.md §7), so a stray unwrap fails this step.
+# Also enforces the robustness gate: crat-core, crat-cli,
+# crat-regalloc and crat-workloads carry crate-level
+# `deny(clippy::unwrap_used, clippy::expect_used)` on non-test code
+# (DESIGN.md §7), so a stray unwrap there fails this step.
 # crat-sim forbids `unsafe_code` crate-wide, so any `unsafe` block
 # there fails to build.
 cargo clippy --workspace --all-targets -- -D warnings

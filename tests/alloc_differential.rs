@@ -132,7 +132,7 @@ fn optimization_is_identical_across_thread_counts() {
 /// The reference counterpart of the pipeline's `+2` budget-escalation
 /// ladder: the same seven attempts, the same escalation rule, but over
 /// the from-scratch `reference_alloc` instead of the shared-context
-/// strategy layer.
+/// `StrategyKind::allocate` dispatch.
 fn reference_escalate(
     kernel: &crat_suite::ptx::Kernel,
     budget: u32,
@@ -157,7 +157,7 @@ fn reference_escalate(
 fn pinned_briggs_pipeline_matches_the_reference_path() {
     // End-to-end differential over the whole suite: with the roster
     // pinned to Briggs, every candidate the full pipeline produces —
-    // engine cache, strategy layer, escalation ladder and all — must
+    // engine cache, strategy dispatch, escalation ladder and all — must
     // be bit-identical to the reference allocator run from scratch at
     // the same design point with the same spare-shared-memory budget.
     let gpu = GpuConfig::fermi();

@@ -2,12 +2,16 @@
 //! kernels must round-trip through the parser, allocate correctly at
 //! any feasible budget, and keep their simulated semantics.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use crat_suite::ptx::{
     self, Address, BinOp, CmpOp, Kernel, KernelBuilder, Operand, Space, Type, UnOp, VReg,
 };
-use crat_suite::regalloc::{allocate, knapsack_select, AllocOptions};
+use crat_suite::regalloc::{
+    allocate, knapsack_select, AllocContext, AllocError, AllocOptions, ShmSpillConfig, StrategyKind,
+};
 use crat_suite::sim::{simulate_capture, GpuConfig, LaunchConfig};
 
 /// A recipe for a random (but always valid and warp-uniform) kernel.
@@ -140,8 +144,11 @@ proptest! {
         prop_assert_eq!(re.to_ptx(), text);
     }
 
-    /// Allocation at any feasible budget stays within the budget,
-    /// validates, and computes the same results as the original.
+    /// Every strategy's allocation at any feasible budget, local-only
+    /// and with spare shared memory (one 32-thread block per launch
+    /// block), stays within the budget, validates, and computes the
+    /// same results as the original. Briggs must succeed; another
+    /// strategy may report the budget too small.
     #[test]
     fn allocation_is_semantics_preserving(recipe in recipe_strategy(), cut in 0u32..10) {
         let kernel = build(&recipe);
@@ -149,11 +156,23 @@ proptest! {
 
         let roomy = allocate(&kernel, &AllocOptions::new(63)).expect("roomy allocation");
         let budget = roomy.slots_used.saturating_sub(cut).max(12);
-        let alloc = allocate(&kernel, &AllocOptions::new(budget)).expect("allocation");
-        prop_assert!(alloc.slots_used <= budget);
-        prop_assert_eq!(alloc.kernel.validate(), Ok(()));
-        let got = outputs(&alloc.kernel, alloc.slots_used);
-        prop_assert_eq!(got, expect);
+        let local = AllocOptions::new(budget);
+        for opts in [local, local.with_shm_spill(ShmSpillConfig::new(4096, 32))] {
+            for kind in StrategyKind::ALL {
+                let fresh = |k: &Kernel| Arc::new(AllocContext::build(k));
+                let alloc = match kind.allocate(&kernel, fresh, &opts) {
+                    Ok(a) => a,
+                    Err(AllocError::BudgetTooSmall { .. }) if kind != StrategyKind::Briggs => {
+                        continue
+                    }
+                    Err(e) => panic!("{kind} {:?}: {e}", opts.shm_spill),
+                };
+                prop_assert!(alloc.slots_used <= budget, "{} {:?}", kind, opts.shm_spill);
+                prop_assert_eq!(alloc.kernel.validate(), Ok(()));
+                let got = outputs(&alloc.kernel, alloc.slots_used);
+                prop_assert_eq!(&got, &expect, "{} {:?}", kind, opts.shm_spill);
+            }
+        }
     }
 
     /// The knapsack solver never exceeds capacity and matches a brute-

@@ -1,8 +1,8 @@
-//! Cross-process store sharing (ISSUE 9 satellite): two *real*
-//! concurrent processes point at one cache directory, race over the
-//! same operating points, and must produce bit-identical results
-//! without corrupting each other's records. A third process then
-//! warm-starts entirely from the store the first two left behind.
+//! Cross-process store sharing: two *real* concurrent processes point
+//! at one cache directory, race over the same operating points, and
+//! must produce bit-identical results without corrupting each other's
+//! records. A third process then warm-starts entirely from the store
+//! the first two left behind.
 //!
 //! The children are this same test binary re-executed with the
 //! `child_worker` filter and `CRAT_STORE_XPROC_ROLE=child`; without

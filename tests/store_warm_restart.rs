@@ -1,8 +1,8 @@
-//! Warm-restart differential (ISSUE 9): a cold engine persists every
-//! result in the 24-app suite, then a fresh engine — simulating a new
-//! process — replays the same points from the store alone. The warm
-//! run must be bit-identical to the cold run, execute zero
-//! simulations, and quarantine nothing.
+//! Warm-restart differential: a cold engine persists every result in
+//! the 24-app suite, then a fresh engine — simulating a new process —
+//! replays the same points from the store alone. The warm run must be
+//! bit-identical to the cold run, execute zero simulations, and
+//! quarantine nothing.
 
 use std::fs;
 use std::path::PathBuf;
